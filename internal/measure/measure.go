@@ -265,12 +265,15 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 	// Resolve each rank's steady-state operating point. Each rank programs
 	// and reads only its own module's RAPL controller and governor, so the
 	// fan-out is safe whenever the module IDs are distinct.
+	//
+	// The three phase spans run back to back, so each boundary is one
+	// clock read (Span.Then).
 	sp := span.Start("measure.resolve")
 	ops, err := parallel.Map(rankWorkers(cfg), n, func(rank int) (module.OperatingPoint, error) {
 		return resolve(sys, cfg, prof, rank, cfg.Modules[rank])
 	})
-	sp.End()
 	if err != nil {
+		sp.End()
 		return Result{}, err
 	}
 
@@ -278,13 +281,13 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 	if rec != nil {
 		probe = rec
 	}
-	sp = span.Start("measure.simulate")
+	sp = sp.Then("measure.simulate")
 	res, err := simulate(sys, cfg, ops, probe)
-	sp.End()
 	if err != nil {
+		sp.End()
 		return Result{}, err
 	}
-	sp = span.Start("measure.account")
+	sp = sp.Then("measure.account")
 	out, err := account(sys, cfg, prof, ops, res)
 	sp.End()
 	if err != nil {
@@ -612,9 +615,10 @@ func health(in *faults.Injector, cfg Config, sim simmpi.Result, ranks []RankResu
 
 // rankWorkers resolves the per-rank fan-out width. A module listed twice
 // would see order-dependent limit programming and interleaved energy
-// accounting, so duplicates force the serial path.
+// accounting, so duplicates force the serial path. A single rank is serial
+// without the check.
 func rankWorkers(cfg Config) int {
-	if cfg.Workers == 1 {
+	if cfg.Workers == 1 || len(cfg.Modules) <= 1 {
 		return 1
 	}
 	seen := make(map[int]struct{}, len(cfg.Modules))

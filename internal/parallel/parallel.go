@@ -39,7 +39,7 @@ import (
 // Fan-out telemetry: every task's wall-clock duration feeds one histogram
 // and a counter, so sweeps expose their per-task cost distribution without
 // any per-call-site wiring. Handles are resolved once; the per-task cost
-// is two atomic adds plus a mutexed histogram insert.
+// is a counter add plus a lock-free histogram insert.
 var (
 	mTasks = telemetry.Default().Counter("varpower_parallel_tasks_total",
 		"Tasks executed by the parallel fan-out engine.", nil)
@@ -75,7 +75,11 @@ func progressFrom(ctx context.Context) ProgressFunc {
 // Workers resolves a requested worker count: values < 1 select
 // runtime.GOMAXPROCS(0) (the default everywhere in this repository), and the
 // result is clamped to n so no idle goroutines are spawned for small jobs.
+// A fan-out of at most one task is serial without asking the scheduler.
 func Workers(requested, n int) int {
+	if n <= 1 {
+		return 1
+	}
 	w := requested
 	if w < 1 {
 		w = runtime.GOMAXPROCS(0)

@@ -461,7 +461,7 @@ func (s *Server) baseFor(name string) (*baseSystem, bool) {
 }
 
 // Handler returns the daemon's full route set, including the telemetry
-// debug subtree (/debug/pprof, /debug/vars).
+// debug subtree (/debug/metrics, /debug/spans, /debug/pprof, /debug/vars).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // SolveCacheStats snapshots the rendered-response cache's counters.

@@ -491,6 +491,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugRoutes pins the telemetry debug subtree mounted at /debug/:
+// metrics and spans answer there, beside expvar and pprof.
+func TestDebugRoutes(t *testing.T) {
+	_, hs, c := newTestServer(t, testConfig())
+	if _, _, err := c.Solve(context.Background(), solveReq()); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	for path, want := range map[string]string{
+		"/debug/metrics": "# TYPE varpower_phase_duration_seconds histogram",
+		"/debug/spans":   "phase",
+		"/debug/vars":    "memstats",
+		"/debug/pprof/":  "goroutine",
+	} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, _ = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s status = %d, want 200", path, resp.StatusCode)
+		}
+		if !strings.Contains(body.String(), want) {
+			t.Fatalf("GET %s body lacks %q", path, want)
+		}
+	}
+}
+
 // TestNotFoundRoute pins the structured 404 on unknown paths.
 func TestNotFoundRoute(t *testing.T) {
 	_, hs, _ := newTestServer(t, testConfig())

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // DefTimeBuckets is the default histogram layout for wall-clock durations
@@ -41,6 +42,12 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // because bucket counts are commutative — its exported state does not
 // depend on the order in which concurrent observers ran.
 //
+// Observe is lock-free: every bucket count is its own atomic cell, Count
+// is the sum of the buckets, and Sum/Min/Max are float64 bit patterns
+// updated by compare-and-swap. A serially observed histogram therefore
+// sums in exactly the order a plain loop would. The mutex guards only the
+// exemplar slots.
+//
 // Quantiles are estimated by linear interpolation inside the bucket that
 // holds the target rank, clamped to the observed [min, max]; with a single
 // sample every quantile is that sample, and p ≤ 0 / p ≥ 1 return the exact
@@ -48,13 +55,13 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; +Inf implicit
 
+	counts  []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
+	sum     atomic.Uint64   // float64 bits
+	min     atomic.Uint64   // float64 bits
+	max     atomic.Uint64   // float64 bits
+	dropped atomic.Uint64   // rejected observations (NaN, ±Inf, negative)
+
 	mu        sync.Mutex
-	counts    []uint64 // len(bounds)+1; last is the +Inf bucket
-	count     uint64
-	sum       float64
-	min       float64
-	max       float64
-	dropped   uint64     // rejected observations (NaN, ±Inf, negative)
 	exemplars []Exemplar // lazily allocated, len(bounds)+1; last-wins per bucket
 }
 
@@ -72,12 +79,10 @@ func newHistogram(bounds []float64) *Histogram {
 	bs := make([]float64, len(bounds))
 	copy(bs, bounds)
 	sort.Float64s(bs)
-	return &Histogram{
-		bounds: bs,
-		counts: make([]uint64, len(bs)+1),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-	}
+	h := &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one sample. Every histogram in this repository measures a
@@ -90,35 +95,50 @@ func (h *Histogram) Observe(v float64) { h.ObserveWithExemplar(v, "") }
 // ObserveWithExemplar records one sample and, when traceID is non-empty,
 // pins it as the bucket's exemplar (last observation wins — recency is what
 // makes an exemplar actionable). The same validity guard as Observe applies.
+//
+// Sum, Min and Max are updated before the bucket count, and Snapshot reads
+// the buckets first, so a snapshot taken mid-flight never counts a sample
+// its Sum, Min and Max have not yet seen.
 func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		h.mu.Lock()
-		h.dropped++
-		h.mu.Unlock()
+		h.dropped.Add(1)
 		return
 	}
 	// Bucket index: first bound >= v, or the +Inf bucket.
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.mu.Lock()
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
+	addFloat(&h.sum, v)
+	lowerFloat(&h.min, v)
+	raiseFloat(&h.max, v)
+	h.counts[i].Add(1)
 	if traceID != "" {
+		h.mu.Lock()
 		if h.exemplars == nil {
 			h.exemplars = make([]Exemplar, len(h.counts))
 		}
 		h.exemplars[i] = Exemplar{TraceID: traceID, Value: v}
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
 }
 
-// HistSnapshot is a consistent copy of a histogram's state.
+// lowerFloat atomically stores v into float64 bits holding a larger value.
+func lowerFloat(bits *atomic.Uint64, v float64) {
+	for old := bits.Load(); v < math.Float64frombits(old); old = bits.Load() {
+		if bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+// raiseFloat atomically stores v into float64 bits holding a smaller value.
+func raiseFloat(bits *atomic.Uint64, v float64) {
+	for old := bits.Load(); v > math.Float64frombits(old); old = bits.Load() {
+		if bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+// HistSnapshot is a copy of a histogram's state.
 type HistSnapshot struct {
 	Bounds  []float64 // upper bounds, ascending; +Inf implicit
 	Counts  []uint64  // len(Bounds)+1, per-bucket (not cumulative)
@@ -132,24 +152,26 @@ type HistSnapshot struct {
 	Exemplars []Exemplar
 }
 
-// Snapshot returns a consistent copy.
+// Snapshot returns a copy of the histogram's state. Taken while no
+// observer is running it is exact; taken mid-flight it may miss samples
+// still being recorded, but Count always equals the sum of Counts and
+// every counted sample is already in Sum, Min and Max.
 func (h *Histogram) Snapshot() HistSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistSnapshot{
-		Bounds:  h.bounds,
-		Counts:  make([]uint64, len(h.counts)),
-		Count:   h.count,
-		Sum:     h.sum,
-		Min:     h.min,
-		Max:     h.max,
-		Dropped: h.dropped,
+	s := HistSnapshot{Bounds: h.bounds, Counts: make([]uint64, len(h.counts))}
+	for i := range h.counts {
+		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
-	copy(s.Counts, h.counts)
+	s.Sum = math.Float64frombits(h.sum.Load())
+	s.Min = math.Float64frombits(h.min.Load())
+	s.Max = math.Float64frombits(h.max.Load())
+	s.Dropped = h.dropped.Load()
+	h.mu.Lock()
 	if h.exemplars != nil {
 		s.Exemplars = make([]Exemplar, len(h.exemplars))
 		copy(s.Exemplars, h.exemplars)
 	}
+	h.mu.Unlock()
 	return s
 }
 

@@ -84,26 +84,31 @@ func (s *Server) Close() error {
 
 // DebugMux builds the debug endpoint's routes:
 //
-//	/metrics      Prometheus text exposition of reg
-//	/spans        the tracer's phase summary and span tree
+//	/metrics      Prometheus text exposition of reg (also /debug/metrics)
+//	/spans        the tracer's phase summary and span tree (also /debug/spans)
 //	/debug/vars   expvar (Go runtime memstats, cmdline)
 //	/debug/pprof  the standard pprof profiles
 //
 // Handlers only read telemetry state, so serving them never interferes with
-// simulation determinism. varpowerd mounts the /debug subtree of this mux
-// next to its /v1 API.
+// simulation determinism. The CLIs' -http server serves the whole mux;
+// varpowerd mounts it at /debug/ next to its /v1 API, which is why metrics
+// and spans answer under /debug/ too.
 func DebugMux(reg *Registry, tracer *Tracer) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	metrics := func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WritePrometheus(w, reg)
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
+	}
+	spans := func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_ = tracer.WriteSummary(w)
 		fmt.Fprintln(w)
 		_ = tracer.WriteTree(w)
-	})
+	}
+	mux := http.NewServeMux()
+	for _, prefix := range []string{"", "/debug"} {
+		mux.HandleFunc(prefix+"/metrics", metrics)
+		mux.HandleFunc(prefix+"/spans", spans)
+	}
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

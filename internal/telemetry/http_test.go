@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -97,5 +98,24 @@ func TestStartServerShutdownWaitsForInflight(t *testing.T) {
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestDebugMuxRoutes pins both mount points of the metrics and spans
+// handlers: the CLIs serve the mux at the root, varpowerd under /debug/.
+func TestDebugMuxRoutes(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(reg, time.Now)
+	tr.Start("debug.phase").End()
+	h := DebugMux(reg, tr)
+	for _, path := range []string{"/metrics", "/spans", "/debug/metrics", "/debug/spans"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s status = %d, want 200", path, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), "debug.phase") {
+			t.Fatalf("GET %s body lacks the recorded phase:\n%s", path, rec.Body.String())
+		}
 	}
 }

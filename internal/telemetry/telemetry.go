@@ -13,12 +13,16 @@
 // busy/wait histograms, core publishes the α and budget-residual gauges,
 // and every pipeline phase records its wall-clock duration.
 //
-// Collection is always on and cheap (atomic adds; metric handles are
-// resolved once at package init, never per event). Collection is also
-// strictly write-only with respect to simulation state: enabling or
-// draining telemetry cannot change any simulated result, which is what
-// keeps the repo's bit-reproducibility contract intact (the determinism
-// property tests run with telemetry active).
+// Collection is always on and cheap: recording a metric takes no lock and
+// builds no string. Counters and gauges are atomic words, and histogram
+// observations are atomic adds and compare-and-swaps (histogram.go).
+// Package-level metric handles are resolved once at init; a span's phase
+// histogram is resolved once per span name by its tracer (span.go), not
+// per End. Collection is also strictly write-only with respect to
+// simulation state: enabling or draining telemetry cannot change any
+// simulated result, which is what keeps the repo's bit-reproducibility
+// contract intact (the determinism property tests run with telemetry
+// active).
 //
 // This package is distinct from internal/trace, which synthesizes
 // *simulated power time series* (per-module watts-over-virtual-seconds
@@ -163,6 +167,10 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 	order    []string // insertion order of family names
+
+	// gen counts Resets, so handles cached outside the registry (the
+	// tracers' phase histograms) can tell they were orphaned.
+	gen atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -179,11 +187,20 @@ func Default() *Registry { return defaultRegistry }
 
 // family returns (creating if needed) the named family, enforcing type
 // consistency: re-registering a name with a different type panics, because
-// it is always a programming error in the instrumentation layer.
+// it is always a programming error in the instrumentation layer. An
+// existing family of the right type, with nothing to fill in, is found
+// under the read lock alone.
 func (r *Registry) family(name, help string, typ MetricType, buckets []float64) *family {
+	r.mu.RLock()
+	f, ok := r.families[name]
+	fast := ok && f.typ == typ && (f.help != "" || help == "")
+	r.mu.RUnlock()
+	if fast {
+		return f
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.families[name]
+	f, ok = r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, buckets: buckets, series: make(map[string]*series)}
 		r.families[name] = f
@@ -254,13 +271,14 @@ func (r *Registry) Reset() {
 	defer r.mu.Unlock()
 	r.families = make(map[string]*family)
 	r.order = nil
+	r.gen.Add(1)
 }
 
 // SeriesSnapshot is one exported time series.
 type SeriesSnapshot struct {
 	Labels Labels
-	Value  float64        // counters and gauges
-	Hist   *HistSnapshot  // histograms
+	Value  float64       // counters and gauges
+	Hist   *HistSnapshot // histograms
 }
 
 // FamilySnapshot is one exported metric family.
@@ -276,17 +294,17 @@ type FamilySnapshot struct {
 // keys disambiguate otherwise).
 func (r *Registry) Gather() []FamilySnapshot {
 	r.mu.RLock()
-	names := make([]string, len(r.order))
-	copy(names, r.order)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
+	fams := make([]*family, 0, len(r.order))
+	helps := make([]string, 0, len(r.order)) // filled in under r.mu
+	for _, n := range r.order {
 		fams = append(fams, r.families[n])
+		helps = append(helps, r.families[n].help)
 	}
 	r.mu.RUnlock()
 
 	out := make([]FamilySnapshot, 0, len(fams))
-	for _, f := range fams {
-		snap := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ}
+	for i, f := range fams {
+		snap := FamilySnapshot{Name: f.name, Help: helps[i], Type: f.typ}
 		f.mu.RLock()
 		keys := make([]string, len(f.order))
 		copy(keys, f.order)
