@@ -123,3 +123,17 @@ func TestHeteroRejectsNonHybrid(t *testing.T) {
 		t.Fatal("non-hybrid preset accepted")
 	}
 }
+
+// TestGoldenHetero snapshots the rendered hybrid sweep at the fixed seed:
+// both device classes' calibration, the class split and every final run.
+func TestGoldenHetero(t *testing.T) {
+	r, err := Hetero(testHeteroOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderHetero(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "hetero", buf.Bytes())
+}

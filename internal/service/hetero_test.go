@@ -1,7 +1,11 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -165,5 +169,38 @@ func TestSplitterRejectedOnCPUOnly(t *testing.T) {
 	req.Splitter = "greedy"
 	if _, _, err := c.Solve(context.Background(), req); err == nil {
 		t.Fatal("splitter accepted on a CPU-only system")
+	}
+}
+
+// TestSolveHybridGolden pins the rendered hierarchical /v1/solve body for a
+// fixed seed, healthy and under the "low" fault rung (which also runs the
+// GPU install sweep under injection).
+func TestSolveHybridGolden(t *testing.T) {
+	for _, tc := range []struct{ name, faults string }{
+		{"solve_hybrid", ""},
+		{"solve_hybrid_faults", "low"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, hs, _ := newTestServer(t, hybridConfig())
+			req := hybridReq()
+			req.Faults = tc.faults
+			body, status, _ := postSolve(t, hs.URL, req)
+			if status != http.StatusOK {
+				t.Fatalf("solve status = %d, body %s", status, body)
+			}
+			golden := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(body, want) {
+				t.Fatalf("hybrid solve body diverges from %s\n got: %s\nwant: %s", golden, body, want)
+			}
+		})
 	}
 }
