@@ -68,8 +68,8 @@ type GPUPVTEntry struct {
 // GPUPVT is the install-time, application-independent Power Variation Table
 // of a system's GPU device class.
 type GPUPVT struct {
-	System string        `json:"system"`
-	Kernel string        `json:"kernel"`
+	System  string        `json:"system"`
+	Kernel  string        `json:"kernel"`
 	Entries []GPUPVTEntry `json:"entries"`
 
 	// Quarantined lists devices whose install-time measurements fell

@@ -55,8 +55,8 @@ type ModuleRefresh struct {
 
 // RefreshReport summarises one incremental refresh.
 type RefreshReport struct {
-	System         string          `json:"system"`
-	Microbenchmark string          `json:"microbenchmark"`
+	System         string `json:"system"`
+	Microbenchmark string `json:"microbenchmark"`
 	// Reference is the unflagged module whose test pair anchored the
 	// population averages.
 	Reference int             `json:"reference"`

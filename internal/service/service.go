@@ -178,8 +178,8 @@ type baseSystem struct {
 	// replicas carry the old table) and bumps the generation. Readers take
 	// snapshots through the accessors below and finish against a consistent
 	// (fw, pool) pair.
-	mu   sync.RWMutex
-	fw   *core.Framework
+	mu sync.RWMutex
+	fw *core.Framework
 	// pool recycles replicas of fw for the hot solve path (serving seed,
 	// healthy, loaded size); replicas return reset to fresh-clone state.
 	pool *core.ReplicaPool
