@@ -2,10 +2,8 @@
 // tracing, structured logging and SLO burn-rate monitoring, dependency-free
 // and threaded through the served path via context.Context.
 //
-// It is the third layer of the repository's observability split:
+// It is the second layer of the repository's observability split:
 //
-//   - internal/trace synthesizes *simulated power data* — an experiment
-//     artifact that belongs in a figure;
 //   - internal/telemetry instruments the simulator *in aggregate* — metric
 //     counters and phase histograms that belong on a dashboard;
 //   - internal/obs (this package) explains *one request* — where did this

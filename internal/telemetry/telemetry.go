@@ -23,11 +23,6 @@
 // simulated result, which is what keeps the repo's bit-reproducibility
 // contract intact (the determinism property tests run with telemetry
 // active).
-//
-// This package is distinct from internal/trace, which synthesizes
-// *simulated power time series* (per-module watts-over-virtual-seconds
-// CSV, the paper's measurement campaigns); telemetry records *real*
-// wall-clock spans and event counts of the simulator itself.
 package telemetry
 
 import (
