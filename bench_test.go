@@ -297,7 +297,7 @@ func BenchmarkAblationPVT(b *testing.B) {
 		b.Run(micro.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sys := cluster.MustNew(cluster.HA8K(), n, 0x5c15)
-				pvt, err := core.GeneratePVT(sys, micro)
+				pvt, err := core.GeneratePVT(context.Background(), sys, micro, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -311,7 +311,7 @@ func BenchmarkAblationPVT(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				oracle, err := core.OraclePMT(sys, bench, ids)
+				oracle, err := core.OraclePMT(sys, bench, ids, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -433,7 +433,7 @@ func BenchmarkExtensionMultiPVT(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		bench := workload.BT()
-		oracle, err := core.OraclePMT(sys, bench, ids)
+		oracle, err := core.OraclePMT(sys, bench, ids, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

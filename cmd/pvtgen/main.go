@@ -101,7 +101,7 @@ func run(system, sysFile string, modules int, seed uint64, out string, workers i
 	if fn := obs.ProgressFunc("pvt"); fn != nil {
 		ctx = parallel.WithProgress(ctx, fn)
 	}
-	pvt, err := core.GeneratePVTCtx(ctx, sys, nil, workers)
+	pvt, err := core.GeneratePVT(ctx, sys, nil, workers)
 	if err != nil {
 		return err
 	}

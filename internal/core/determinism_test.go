@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -25,12 +26,12 @@ func workerWidths() []int {
 // TestGeneratePVTWorkerDeterminism: the PVT must be deep-equal — including
 // every float bit — no matter how many workers generate it.
 func TestGeneratePVTWorkerDeterminism(t *testing.T) {
-	ref, err := GeneratePVTWorkers(cluster.MustNew(cluster.HA8K(), 96, 0x5c15), nil, 1)
+	ref, err := GeneratePVT(context.Background(), cluster.MustNew(cluster.HA8K(), 96, 0x5c15), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerWidths()[1:] {
-		got, err := GeneratePVTWorkers(cluster.MustNew(cluster.HA8K(), 96, 0x5c15), nil, w)
+		got, err := GeneratePVT(context.Background(), cluster.MustNew(cluster.HA8K(), 96, 0x5c15), nil, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -51,7 +52,7 @@ func TestOraclePMTWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pmt, err := OraclePMTWorkers(sys, bench, ids, w)
+		pmt, err := OraclePMT(sys, bench, ids, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

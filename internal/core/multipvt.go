@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -47,7 +48,7 @@ func GeneratePVTLibrary(sys *cluster.System, probes []*workload.Benchmark) (*PVT
 	}
 	lib := &PVTLibrary{System: sys.Spec.Name}
 	for _, p := range probes {
-		pvt, err := GeneratePVT(sys, p)
+		pvt, err := GeneratePVT(context.Background(), sys, p, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: PVT library probe %s: %w", p.Name, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestCalibrateSelfPrediction(t *testing.T) {
 	// reproduce the oracle almost exactly: the latent factors cancel and
 	// only the (tiny, σ=1%) *STREAM residual and run noise remain.
 	sys := pvtSystem(t, 48)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVT(context.Background(), sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestCalibrateSelfPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := OraclePMT(sys, bench, ids)
+	oracle, err := OraclePMT(sys, bench, ids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCalibrateCrossWorkloadBounded(t *testing.T) {
 	// Calibration of a different workload carries mix/residual error but
 	// stays bounded (the paper: < 5% typical, ~10% for NPB-BT).
 	sys := pvtSystem(t, 96)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVT(context.Background(), sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCalibrateCrossWorkloadBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := OraclePMT(sys, bench, ids)
+		oracle, err := OraclePMT(sys, bench, ids, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestCalibrateCrossWorkloadBounded(t *testing.T) {
 
 func TestCalibrateUnknownModule(t *testing.T) {
 	sys := pvtSystem(t, 8)
-	pvt, _ := GeneratePVT(sys, nil)
+	pvt, _ := GeneratePVT(context.Background(), sys, nil, 0)
 	pair := TestPair{ModuleID: 99}
 	if _, err := Calibrate(pvt, pair, workload.DGEMM(), []int{0}); err == nil {
 		t.Error("unknown test module accepted")
@@ -98,7 +99,7 @@ func TestOraclePMTMatchesModuleModel(t *testing.T) {
 	sys := pvtSystem(t, 8)
 	bench := workload.MHD()
 	prof := bench.ProfileFor(sys.Spec.Arch)
-	pmt, err := OraclePMT(sys, bench, []int{0, 1, 2})
+	pmt, err := OraclePMT(sys, bench, []int{0, 1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

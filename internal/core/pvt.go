@@ -86,29 +86,19 @@ func (p *PVT) Entry(moduleID int) (PVTEntry, error) {
 	return e, nil
 }
 
-// GeneratePVT builds the table by test-running the microbenchmark on every
-// module of the system at fmax (nominal) and fmin, then normalising each
-// measurement by the population average. This is the install-time step; its
-// cost never recurs during budgeting. The per-module test runs fan out over
-// GOMAXPROCS workers; use GeneratePVTWorkers for an explicit width.
-func GeneratePVT(sys *cluster.System, micro *workload.Benchmark) (*PVT, error) {
-	return GeneratePVTWorkers(sys, micro, 0)
-}
-
-// GeneratePVTWorkers is GeneratePVT with an explicit fan-out width
-// (< 1 selects GOMAXPROCS, 1 is fully serial). Each module's two test runs
-// touch only that module's governor, controller and MSR device, and every
-// random draw comes from a (seed, moduleID, ...)-keyed stream, so the table
-// is byte-identical for every worker count.
-func GeneratePVTWorkers(sys *cluster.System, micro *workload.Benchmark, workers int) (*PVT, error) {
-	return GeneratePVTCtx(context.Background(), sys, micro, workers)
-}
-
-// GeneratePVTCtx is GeneratePVTWorkers with context cancellation; a
-// progress callback attached via parallel.WithProgress receives per-module
-// completion updates (the install-time sweep over a full machine is the
-// longest single phase in the repository).
-func GeneratePVTCtx(ctx context.Context, sys *cluster.System, micro *workload.Benchmark, workers int) (*PVT, error) {
+// GeneratePVT builds the table by test-running the microbenchmark (nil
+// selects *STREAM) on every module of the system at fmax (nominal) and
+// fmin, then normalising each measurement by the population average. This
+// is the install-time step; its cost never recurs during budgeting.
+//
+// The per-module test runs fan out over workers (< 1 selects GOMAXPROCS,
+// 1 is fully serial). Each module's two test runs touch only that module's
+// governor, controller and MSR device, and every random draw comes from a
+// (seed, moduleID, ...)-keyed stream, so the table is byte-identical for
+// every worker count. A progress callback attached to ctx via
+// parallel.WithProgress receives per-module completion updates (the sweep
+// over a full machine is the longest single phase in the repository).
+func GeneratePVT(ctx context.Context, sys *cluster.System, micro *workload.Benchmark, workers int) (*PVT, error) {
 	if micro == nil {
 		micro = workload.PVTMicrobenchmark()
 	}

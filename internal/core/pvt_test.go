@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ func pvtSystem(t *testing.T, n int) *cluster.System {
 
 func TestGeneratePVTShape(t *testing.T) {
 	sys := pvtSystem(t, 64)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVT(context.Background(), sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestGeneratePVTShape(t *testing.T) {
 
 func TestPVTEntryLookup(t *testing.T) {
 	sys := pvtSystem(t, 8)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVT(context.Background(), sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPVTEntryLookup(t *testing.T) {
 
 func TestPVTSaveLoadRoundTrip(t *testing.T) {
 	sys := pvtSystem(t, 16)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVT(context.Background(), sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestLoadPVTRejectsGarbage(t *testing.T) {
 
 func TestGeneratePVTCustomMicrobenchmark(t *testing.T) {
 	sys := pvtSystem(t, 8)
-	pvt, err := GeneratePVT(sys, workload.DGEMM())
+	pvt, err := GeneratePVT(context.Background(), sys, workload.DGEMM(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

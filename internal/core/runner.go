@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -55,7 +56,7 @@ func NewFramework(sys *cluster.System, micro *workload.Benchmark) (*Framework, e
 // PVT generation and all subsequent per-module loops (< 1 selects
 // GOMAXPROCS, 1 recovers the fully serial pipeline).
 func NewFrameworkWorkers(sys *cluster.System, micro *workload.Benchmark, workers int) (*Framework, error) {
-	pvt, err := GeneratePVTWorkers(sys, micro, workers)
+	pvt, err := GeneratePVT(context.Background(), sys, micro, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +106,7 @@ func (fw *Framework) BuildPMT(bench *workload.Benchmark, moduleIDs []int, scheme
 		// The paper's Pc uses "the application-specific average values
 		// across all modules" — an all-module measurement averaged into a
 		// uniform table, not the single-module calibration.
-		pmt, err := OraclePMTWorkers(fw.Sys, bench, moduleIDs, fw.Workers)
+		pmt, err := OraclePMT(fw.Sys, bench, moduleIDs, fw.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +114,7 @@ func (fw *Framework) BuildPMT(bench *workload.Benchmark, moduleIDs []int, scheme
 	case VaPc, VaFs:
 		return fw.calibrated(bench, moduleIDs)
 	case VaPcOr, VaFsOr:
-		return OraclePMTWorkers(fw.Sys, bench, moduleIDs, fw.Workers)
+		return OraclePMT(fw.Sys, bench, moduleIDs, fw.Workers)
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
 	}

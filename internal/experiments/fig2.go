@@ -167,7 +167,7 @@ func Figure2Sweep(o Options) ([]Fig2SweepResult, error) {
 func capSweep(sys *cluster.System, ids []int, bench *workload.Benchmark, cms []units.Watts, workers int, rec *flight.Recorder) (Fig2SweepResult, error) {
 	// Offline analysis: the application's average power model, used to
 	// split Cm between CPU cap and predicted DRAM.
-	pmt, err := core.OraclePMTWorkers(sys, bench, ids, workers)
+	pmt, err := core.OraclePMT(sys, bench, ids, workers)
 	if err != nil {
 		return Fig2SweepResult{}, err
 	}

@@ -62,7 +62,7 @@ func Figure3(o Options) (Fig3Result, error) {
 		return Fig3Result{}, err
 	}
 	bench := workload.MHD()
-	pmt, err := core.OraclePMTWorkers(sys, bench, ids, o.Workers)
+	pmt, err := core.OraclePMT(sys, bench, ids, o.Workers)
 	if err != nil {
 		return Fig3Result{}, err
 	}

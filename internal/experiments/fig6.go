@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -41,7 +42,7 @@ func Figure6(o Options) (Fig6Result, error) {
 	if err != nil {
 		return Fig6Result{}, err
 	}
-	pvt, err := core.GeneratePVTWorkers(sys, nil, o.Workers)
+	pvt, err := core.GeneratePVT(context.Background(), sys, nil, o.Workers)
 	if err != nil {
 		return Fig6Result{}, err
 	}
@@ -55,7 +56,7 @@ func Figure6(o Options) (Fig6Result, error) {
 		if err != nil {
 			return Fig6Result{}, err
 		}
-		oracle, err := core.OraclePMTWorkers(sys, b, ids, o.Workers)
+		oracle, err := core.OraclePMT(sys, b, ids, o.Workers)
 		if err != nil {
 			return Fig6Result{}, err
 		}
