@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"varpower/internal/hw/module"
 	"varpower/internal/telemetry"
 	"varpower/internal/units"
@@ -94,75 +92,25 @@ func (a *Allocation) CPUCaps() []units.Watts {
 //
 //	Σᵢ ( α·(Pmodule_max,i − Pmodule_min,i) + Pmodule_min,i ) ≤ budget
 //
-// then derive each module's allocation at that α. The arch parameter
-// supplies the frequency range for Equation 1.
+// then derive each module's allocation at that α, split into the DRAM
+// power predicted there and the CPU cap that realises the rest. The arch
+// parameter supplies the frequency range for Equation 1.
 func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error) {
-	if len(pmt.Entries) == 0 {
-		return nil, fmt.Errorf("core: solve on empty PMT")
+	s, err := solve(cpuClass{arch}, pmt.Entries, budget)
+	if err != nil {
+		return nil, err
 	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("core: non-positive budget %v", budget)
+	alloc := &Allocation{
+		Alpha: s.alpha, Freq: s.level,
+		Feasible: s.feasible, Clamped: s.clamped, Constrained: s.constrained,
+		Budget: budget, Entries: make([]ModuleAlloc, len(pmt.Entries)),
 	}
-	var sumMin, sumRange float64
-	for _, e := range pmt.Entries {
-		min := float64(e.ModuleMin())
-		max := float64(e.ModuleMax())
-		if min < 0 || max < min {
-			return nil, fmt.Errorf("core: module %d has inverted power range [%v, %v]", e.ModuleID, min, max)
-		}
-		sumMin += min
-		sumRange += max - min
-	}
-
-	// bestEffortMargin bounds how far below the predicted fmin power a
-	// budget may fall and still be admitted (with proportionally shrunk
-	// caps). Beyond it the job is declared infeasible.
-	const bestEffortMargin = 0.85
-
-	alloc := &Allocation{Budget: budget, Feasible: true, Constrained: true}
-	shrink := 1.0
-	switch {
-	case float64(budget) < sumMin:
-		// Even fmin everywhere exceeds the predicted budget.
-		alloc.Alpha = 0
-		alloc.Clamped = true
-		shrink = float64(budget) / sumMin
-		if shrink < bestEffortMargin {
-			alloc.Feasible = false
-		}
-	case sumRange == 0:
-		alloc.Alpha = 1
-		alloc.Constrained = false
-	default:
-		alpha := (float64(budget) - sumMin) / sumRange
-		if alpha >= 1 {
-			alpha = 1
-			alloc.Constrained = false
-		}
-		alloc.Alpha = alpha
-	}
-
-	alloc.Freq = units.Hertz(units.Lerp(float64(arch.FMin), float64(arch.FNom), alloc.Alpha))
-	alloc.Entries = make([]ModuleAlloc, len(pmt.Entries))
 	for i, e := range pmt.Entries {
-		pm := units.Watts(units.Lerp(float64(e.ModuleMin()), float64(e.ModuleMax()), alloc.Alpha) * shrink)
-		pd := units.Watts(units.Lerp(float64(e.DramMin), float64(e.DramMax), alloc.Alpha) * shrink)
-		alloc.Entries[i] = ModuleAlloc{
-			ModuleID: e.ModuleID,
-			Pmodule:  pm,
-			Pdram:    pd,
-			Pcpu:     pm - pd,
-		}
-	}
-	mSolves.Inc()
-	if !alloc.Feasible {
-		mSolveInfeasible.Inc()
-	}
-	if alloc.Clamped {
-		mSolveClamped.Inc()
+		pm := s.share(e.ModuleMin(), e.ModuleMax())
+		pd := s.share(e.DramMin, e.DramMax)
+		alloc.Entries[i] = ModuleAlloc{ModuleID: e.ModuleID, Pmodule: pm, Pdram: pd, Pcpu: pm - pd}
 	}
 	mAlphaGauge.Set(alloc.Alpha)
-	mAlphaHist.Observe(alloc.Alpha)
 	mResidualGauge.Set(float64(budget - alloc.TotalPredicted()))
 	return alloc, nil
 }

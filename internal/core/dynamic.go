@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"varpower/internal/measure"
 	"varpower/internal/units"
@@ -58,7 +59,7 @@ func (fw *Framework) RunDynamic(bench *workload.Benchmark, moduleIDs []int, budg
 		return nil, fmt.Errorf("core: %s has %d iterations, cannot split into %d epochs",
 			bench.Name, bench.Iterations, epochs)
 	}
-	pmt, err := fw.calibrated(bench, moduleIDs)
+	pmt, err := fw.BuildPMT(bench, moduleIDs, VaPc)
 	if err != nil {
 		return nil, err
 	}
@@ -68,12 +69,9 @@ func (fw *Framework) RunDynamic(bench *workload.Benchmark, moduleIDs []int, budg
 	remainder := bench.Iterations - perEpoch*epochs
 
 	for e := 0; e < epochs; e++ {
-		alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
+		alloc, err := fw.solveFeasible(pmt, budget, VaPc)
 		if err != nil {
 			return nil, err
-		}
-		if !alloc.Feasible {
-			return nil, ErrBudgetInfeasible{Scheme: VaPc, Budget: budget}
 		}
 
 		epochBench := *bench
@@ -81,11 +79,7 @@ func (fw *Framework) RunDynamic(bench *workload.Benchmark, moduleIDs []int, budg
 		if e == epochs-1 {
 			epochBench.Iterations += remainder
 		}
-		scheme := VaPc
-		if fs {
-			scheme = VaFs
-		}
-		res, err := fw.Execute(&epochBench, moduleIDs, alloc, scheme)
+		res, err := fw.Execute(&epochBench, moduleIDs, alloc, schemeFor(fs))
 		if err != nil {
 			return nil, err
 		}
@@ -120,36 +114,28 @@ func (fw *Framework) feedback(pmt *PMT, res measure.Result) float64 {
 	var n int
 	for i, rank := range res.Ranks {
 		e := &pmt.Entries[i]
+		m := e.reading()
 		// α implied by the delivered frequency (may extrapolate slightly
 		// past [0,1] under turbo or throttling; the model is affine, so
 		// extrapolation is exact).
 		alphaDel := units.InvLerp(float64(arch.FMin), float64(arch.FNom), float64(rank.Op.Freq))
-		predCPU := units.Lerp(float64(e.CPUMin), float64(e.CPUMax), alphaDel)
-		predDram := units.Lerp(float64(e.DramMin), float64(e.DramMax), alphaDel)
-		measCPU := float64(rank.Op.CPUPower)
-		measDram := float64(rank.Op.DramPower)
-		if predCPU > 0 && measCPU > 0 {
-			r := measCPU / predCPU
-			errSum += abs1(r)
-			n++
-			e.CPUMax = units.Watts(float64(e.CPUMax) * r)
-			e.CPUMin = units.Watts(float64(e.CPUMin) * r)
+		for c, meas := range [2]units.Watts{rank.Op.CPUPower, rank.Op.DramPower} {
+			pred := units.Lerp(m.v[1][c], m.v[0][c], alphaDel)
+			if pred <= 0 || meas <= 0 {
+				continue
+			}
+			r := float64(meas) / pred
+			if c == 0 { // the model error is the CPU component's
+				errSum += math.Abs(r - 1)
+				n++
+			}
+			m.v[0][c] *= r
+			m.v[1][c] *= r
 		}
-		if predDram > 0 && measDram > 0 {
-			r := measDram / predDram
-			e.DramMax = units.Watts(float64(e.DramMax) * r)
-			e.DramMin = units.Watts(float64(e.DramMin) * r)
-		}
+		*e = e.withReading(m)
 	}
 	if n == 0 {
 		return 0
 	}
 	return errSum / float64(n)
-}
-
-func abs1(r float64) float64 {
-	if r < 1 {
-		return 1 - r
-	}
-	return r - 1
 }

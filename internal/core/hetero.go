@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"varpower/internal/cluster"
 	"varpower/internal/flight"
@@ -17,8 +16,8 @@ import (
 // HeteroFramework extends the CPU pipeline to heterogeneous systems: the
 // same install-time-table → test-run → α-solve → enforce loop, run once per
 // device class under a hierarchical split of the system budget. The CPU
-// half is the embedded Framework, untouched; the GPU half mirrors it
-// through the device-class tables in gpupvt.go.
+// class is the embedded Framework; the GPU class runs the same calibration
+// pipeline (calibrate.go) over its own install-time table.
 type HeteroFramework struct {
 	*Framework
 	GPVT *GPUPVT
@@ -42,22 +41,6 @@ func NewHeteroFramework(sys *cluster.System, micro *workload.Benchmark, workers 
 	return &HeteroFramework{Framework: fw, GPVT: gpvt}, nil
 }
 
-// NewHeteroWithTables binds previously generated (e.g. loaded or restored)
-// tables.
-func NewHeteroWithTables(sys *cluster.System, pvt *PVT, gpvt *GPUPVT) (*HeteroFramework, error) {
-	fw, err := NewFrameworkWithPVT(sys, pvt)
-	if err != nil {
-		return nil, err
-	}
-	if gpvt == nil || len(gpvt.Entries) == 0 {
-		return nil, fmt.Errorf("core: hetero framework needs a non-empty GPU PVT")
-	}
-	if gpvt.System != sys.Spec.Name {
-		return nil, fmt.Errorf("core: GPU PVT is for %q, system is %q", gpvt.System, sys.Spec.Name)
-	}
-	return &HeteroFramework{Framework: fw, GPVT: gpvt}, nil
-}
-
 // Clone returns a framework over an independent replica of the system,
 // sharing both (read-only) install-time tables; see Framework.Clone.
 func (hf *HeteroFramework) Clone() *HeteroFramework {
@@ -75,112 +58,11 @@ func (hf *HeteroFramework) AllDevices() []int {
 	return ids
 }
 
-// BuildGPUPMT constructs the scheme's power model for the allocated
-// devices, mirroring BuildPMT case for case: Naive uses the spec sheet
-// (TDP / minimum limit), Pc measures all devices but averages the table,
-// VaPc/VaFs calibrate one test device through the GPU PVT, and the oracle
-// schemes measure every device.
-func (hf *HeteroFramework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []int, scheme Scheme) (*GPUPMT, error) {
-	if len(deviceIDs) == 0 {
-		return nil, fmt.Errorf("core: empty GPU device allocation")
-	}
-	garch := hf.Sys.Spec.GPU.Arch
-	k := KernelFor(bench, hf.Sys.Spec.Arch, garch)
-	switch scheme {
-	case Naive:
-		return NaiveGPUPMT(garch, deviceIDs), nil
-	case Pc:
-		pmt, err := OracleGPUPMT(hf.Sys, k, deviceIDs, hf.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return pmt.Uniform(), nil
-	case VaPc, VaFs:
-		pair, err := RunGPUTestPair(hf.Sys, k, hf.testDeviceFor(deviceIDs))
-		if err != nil {
-			return nil, err
-		}
-		return CalibrateGPU(hf.GPVT, pair, k.Kernel, deviceIDs)
-	case VaPcOr, VaFsOr:
-		return OracleGPUPMT(hf.Sys, k, deviceIDs, hf.Workers)
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
-	}
-}
-
-// testDeviceFor picks the allocated device whose GPU PVT scales lie closest
-// to the population mean — the same least-leverage argument as
-// testModuleFor, with quarantined devices (placeholder scales of exactly 1)
-// skipped outright.
-func (hf *HeteroFramework) testDeviceFor(deviceIDs []int) int {
-	best := deviceIDs[0]
-	bestDev := math.Inf(1)
-	for _, id := range deviceIDs {
-		if hf.GPVT.IsQuarantined(id) {
-			continue
-		}
-		e, err := hf.GPVT.Entry(id)
-		if err != nil {
-			continue
-		}
-		dev := math.Abs(e.PowerMax-1) + math.Abs(e.PowerMin-1)
-		if dev < bestDev {
-			bestDev = dev
-			best = id
-		}
-	}
-	return best
-}
-
-// holdoutDeviceFor returns the allocated device ranked second-closest to
-// the population mean (the closest hosts the calibration test runs).
-func (hf *HeteroFramework) holdoutDeviceFor(deviceIDs []int) int {
-	test := hf.testDeviceFor(deviceIDs)
-	best := deviceIDs[0]
-	if best == test && len(deviceIDs) > 1 {
-		best = deviceIDs[1]
-	}
-	bestDev := math.Inf(1)
-	for _, id := range deviceIDs {
-		if id == test || hf.GPVT.IsQuarantined(id) {
-			continue
-		}
-		e, err := hf.GPVT.Entry(id)
-		if err != nil {
-			continue
-		}
-		dev := math.Abs(e.PowerMax-1) + math.Abs(e.PowerMin-1)
-		if dev < bestDev {
-			bestDev = dev
-			best = id
-		}
-	}
-	return best
-}
-
-// gpuFsMargin measures the GPU model's relative prediction error on a
-// held-out device and returns it clamped to the same [0.005, 0.08] reserve
-// band the CPU FS margin uses — locked clocks enforce no power bound, so
-// the GPU class needs the identical guard.
-func (hf *HeteroFramework) gpuFsMargin(pmt *GPUPMT, k gpu.KernelProfile, deviceIDs []int) (float64, error) {
-	holdout := hf.holdoutDeviceFor(deviceIDs)
-	pair, err := RunGPUTestPair(hf.Sys, k, holdout)
-	if err != nil {
-		return 0, fmt.Errorf("core: GPU FS margin holdout run: %w", err)
-	}
-	var pred *GPUPMTEntry
-	for i := range pmt.Entries {
-		if pmt.Entries[i].DeviceID == holdout {
-			pred = &pmt.Entries[i]
-			break
-		}
-	}
-	if pred == nil {
-		return 0, fmt.Errorf("core: holdout device %d missing from GPU PMT", holdout)
-	}
-	margin := (relErr(float64(pred.PowerMax), float64(pair.AtMax)) +
-		relErr(float64(pred.PowerMin), float64(pair.AtMin))) / 2
-	return units.Clamp(margin, 0.005, 0.08), nil
+// NaiveDemand is the spec-sheet power envelope of a job: the summed bottom
+// and top of both classes' Naive models over its modules and devices.
+func (hf *HeteroFramework) NaiveDemand(moduleIDs, deviceIDs []int) (min, max units.Watts) {
+	min, max = demand(fill[PMTEntry](moduleIDs, cpuClass{hf.Sys.Spec.Arch}.naive()), 0, 0)
+	return demand(fill[GPUPMTEntry](deviceIDs, gpuClass{hf.Sys.Spec.GPU.Arch}.naive()), min, max)
 }
 
 // HeteroAllocation is the hierarchical solve's output: the class split and
@@ -231,20 +113,14 @@ func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, dev
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gpmt, err := hf.BuildGPUPMT(bench, deviceIDs, scheme)
+	cpu, gpu := cpuClass{hf.Sys.Spec.Arch}, gpuClass{hf.Sys.Spec.GPU.Arch}
+	grows, err := model[GPUPVTEntry, GPUPMTEntry](gpu, hf.Sys, bench, &hf.GPVT.table, deviceIDs, scheme, hf.Workers)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var cpuMin, cpuMax units.Watts
-	for _, e := range pmt.Entries {
-		cpuMin += e.ModuleMin()
-		cpuMax += e.ModuleMax()
-	}
-	var gpuMin, gpuMax units.Watts
-	for _, e := range gpmt.Entries {
-		gpuMin += e.PowerMin
-		gpuMax += e.PowerMax
-	}
+	gpmt := &GPUPMT{Kernel: modelName(bench, scheme), Entries: grows}
+	cpuMin, cpuMax := demand(pmt.Entries, 0, 0)
+	gpuMin, gpuMax := demand(gpmt.Entries, 0, 0)
 	cpuTime, gpuTime := hf.classTimes(bench)
 	shares, err := SplitBudget(splitter, budget, []ClassDemand{
 		{Class: "cpu", Min: cpuMin, Max: cpuMax, TimeAt: cpuTime},
@@ -256,29 +132,34 @@ func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, dev
 	cpuBudget, gpuBudget := shares[0], shares[1]
 	cpuSolve, gpuSolve := cpuBudget, gpuBudget
 	if scheme == VaFs {
-		garch := hf.Sys.Spec.GPU.Arch
-		k := KernelFor(bench, hf.Sys.Spec.Arch, garch)
-		m, err := hf.fsMargin(pmt, bench, moduleIDs)
+		m, err := fsMargin(cpu, hf.Sys, bench, &hf.PVT.table, pmt.Entries, moduleIDs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		cpuSolve = units.Watts(float64(cpuBudget) * (1 - m))
-		gm, err := hf.gpuFsMargin(gpmt, k, deviceIDs)
+		gm, err := fsMargin(gpu, hf.Sys, bench, &hf.GPVT.table, gpmt.Entries, deviceIDs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		gpuSolve = units.Watts(float64(gpuBudget) * (1 - gm))
 	}
-	cpuAlloc, err := Solve(pmt, hf.Sys.Spec.Arch, cpuSolve)
+	cpuAlloc, err := Solve(pmt, cpu.arch, cpuSolve)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	cpuAlloc.Budget = cpuBudget
-	gpuAlloc, err := SolveGPU(gpmt, hf.Sys.Spec.GPU.Arch, gpuSolve)
+	gs, err := solve(gpu, gpmt.Entries, gpuSolve)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gpuAlloc.Budget = gpuBudget
+	gpuAlloc := &GPUAllocation{
+		Alpha: gs.alpha, Clock: gs.level,
+		Feasible: gs.feasible, Clamped: gs.clamped, Constrained: gs.constrained,
+		Budget: gpuBudget, Entries: make([]GPUAlloc, len(gpmt.Entries)),
+	}
+	for i, e := range gpmt.Entries {
+		gpuAlloc.Entries[i] = GPUAlloc{DeviceID: e.DeviceID, Power: gs.share(e.PowerMin, e.PowerMax)}
+	}
 	h := &HeteroAllocation{
 		Splitter: splitter, Budget: budget,
 		CPUBudget: cpuBudget, GPUBudget: gpuBudget,

@@ -34,17 +34,7 @@ func testHetero(t *testing.T, count, workers int) (*HeteroFramework, []int, []in
 // maxima so the split is a real decision (uniform feasible but wasteful on
 // the GPU-heavy preset).
 func heteroBudget(hf *HeteroFramework, bench *workload.Benchmark, moduleIDs, deviceIDs []int, frac float64) units.Watts {
-	pmt := NaivePMT(hf.Sys, moduleIDs)
-	gpmt := NaiveGPUPMT(hf.Sys.Spec.GPU.Arch, deviceIDs)
-	var min, max units.Watts
-	for _, e := range pmt.Entries {
-		min += e.ModuleMin()
-		max += e.ModuleMax()
-	}
-	for _, e := range gpmt.Entries {
-		min += e.PowerMin
-		max += e.PowerMax
-	}
+	min, max := hf.NaiveDemand(moduleIDs, deviceIDs)
 	return units.Watts(units.Lerp(float64(min), float64(max), frac))
 }
 
@@ -159,39 +149,43 @@ func TestSplitBudgetPolicies(t *testing.T) {
 func TestSolveGPUProperties(t *testing.T) {
 	hf, _, devs := testHetero(t, 16, 1)
 	bench := workload.MHD()
-	gpmt, err := hf.BuildGPUPMT(bench, devs, VaPcOr)
+	gpu := gpuClass{hf.Sys.Spec.GPU.Arch}
+	rows, err := model[GPUPVTEntry, GPUPMTEntry](gpu, hf.Sys, bench, &hf.GPVT.table, devs, VaPcOr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var min, max units.Watts
-	for _, e := range gpmt.Entries {
-		min += e.PowerMin
-		max += e.PowerMax
+	min, max := demand(rows, 0, 0)
+	total := func(s solution) units.Watts {
+		var sum units.Watts
+		for _, e := range rows {
+			sum += s.share(e.PowerMin, e.PowerMax)
+		}
+		return sum
 	}
 	budget := (min + max) / 2
-	alloc, err := SolveGPU(gpmt, hf.Sys.Spec.GPU.Arch, budget)
+	s, err := solve(gpu, rows, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Alpha <= 0 || alloc.Alpha >= 1 || !alloc.Constrained || !alloc.Feasible {
-		t.Fatalf("mid-range budget should solve interior: %+v", alloc)
+	if s.alpha <= 0 || s.alpha >= 1 || !s.constrained || !s.feasible {
+		t.Fatalf("mid-range budget should solve interior: %+v", s)
 	}
-	if got := alloc.TotalPredicted(); got > budget+1e-9 {
+	if got := total(s); got > budget+1e-9 {
 		t.Fatalf("allocation %v exceeds class budget %v", got, budget)
 	}
 	garch := hf.Sys.Spec.GPU.Arch
-	if alloc.Clock <= garch.ClockMin || alloc.Clock >= garch.ClockNom {
-		t.Fatalf("interior α must land between ClockMin and ClockNom, got %v", alloc.Clock)
+	if s.level <= garch.ClockMin || s.level >= garch.ClockNom {
+		t.Fatalf("interior α must land between ClockMin and ClockNom, got %v", s.level)
 	}
 	// Clamped regime: below ΣPmin the solve shrinks proportionally.
-	clamped, err := SolveGPU(gpmt, garch, min*0.9)
+	clamped, err := solve(gpu, rows, min*0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !clamped.Clamped || clamped.Alpha != 0 {
+	if !clamped.clamped || clamped.alpha != 0 {
 		t.Fatalf("sub-minimum budget must clamp: %+v", clamped)
 	}
-	if got := clamped.TotalPredicted(); got > min*0.9+1e-9 {
+	if got := total(clamped); got > min*0.9+1e-9 {
 		t.Fatalf("clamped allocation %v exceeds budget %v", got, min*0.9)
 	}
 }
@@ -345,19 +339,10 @@ func TestHierarchicalBeatsUniform(t *testing.T) {
 	}
 }
 
-// TestHeteroFrameworkGuards: non-hybrid systems are rejected, as are
-// mismatched restored tables.
+// TestHeteroFrameworkGuards: non-hybrid systems are rejected.
 func TestHeteroFrameworkGuards(t *testing.T) {
 	sys := cluster.MustNew(cluster.HA8K(), 8, 1)
 	if _, err := NewHeteroFramework(sys, nil, 1); err == nil {
 		t.Fatal("non-hybrid system accepted")
-	}
-	hf, _, _ := testHetero(t, 8, 1)
-	if _, err := NewHeteroWithTables(hf.Sys, hf.PVT, nil); err == nil {
-		t.Fatal("nil GPU PVT accepted")
-	}
-	wrong := &GPUPVT{System: "elsewhere", Entries: make([]GPUPVTEntry, 1)}
-	if _, err := NewHeteroWithTables(hf.Sys, hf.PVT, wrong); err == nil {
-		t.Fatal("mismatched GPU PVT accepted")
 	}
 }

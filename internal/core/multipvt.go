@@ -102,7 +102,7 @@ func (lib *PVTLibrary) SelectAndCalibrate(sys *cluster.System, bench *workload.B
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: candidate %s: %w", pvt.Microbenchmark, err)
 		}
-		e := holdoutError(pmt.Entries[0], holdPair)
+		e := holdoutError(pmt.Entries[0].reading(), holdPair.reading())
 		sel.Errors[pvt.Microbenchmark] = e
 		if e < bestErr {
 			bestErr = e
@@ -118,22 +118,6 @@ func (lib *PVTLibrary) SelectAndCalibrate(sys *cluster.System, bench *workload.B
 	return pmt, sel, nil
 }
 
-// holdoutError scores a predicted entry against the held-out module's
-// measured powers: the mean relative error of module power at fmax and
-// fmin.
-func holdoutError(pred PMTEntry, measured TestPair) float64 {
-	eMax := relErr(float64(pred.ModuleMax()), float64(measured.AtMax.ModulePower()))
-	eMin := relErr(float64(pred.ModuleMin()), float64(measured.AtMin.ModulePower()))
-	return (eMax + eMin) / 2
-}
-
-func relErr(pred, act float64) float64 {
-	if act == 0 {
-		return 0
-	}
-	return math.Abs(pred-act) / math.Abs(act)
-}
-
 // RunMultiPVT executes the full pipeline like Framework.Run but with
 // library-based calibration, using the given enforcement (PC when fs is
 // false, FS when true).
@@ -142,16 +126,10 @@ func (fw *Framework) RunMultiPVT(lib *PVTLibrary, bench *workload.Benchmark, mod
 	if err != nil {
 		return nil, nil, err
 	}
-	alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
+	scheme := schemeFor(fs)
+	alloc, err := fw.solveFeasible(pmt, budget, scheme)
 	if err != nil {
 		return nil, nil, err
-	}
-	scheme := VaPc
-	if fs {
-		scheme = VaFs
-	}
-	if !alloc.Feasible {
-		return nil, nil, ErrBudgetInfeasible{Scheme: scheme, Budget: budget}
 	}
 	res, err := fw.Execute(bench, moduleIDs, alloc, scheme)
 	if err != nil {

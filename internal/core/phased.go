@@ -65,16 +65,9 @@ func (fw *Framework) RunPhasedStatic(phases []*workload.Benchmark, moduleIDs []i
 	if err := validatePhases(phases); err != nil {
 		return nil, err
 	}
-	pmt, err := fw.calibrated(phases[0], moduleIDs)
+	alloc, err := fw.planPhase(phases[0], moduleIDs, budget, fs)
 	if err != nil {
 		return nil, err
-	}
-	alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
-	if err != nil {
-		return nil, err
-	}
-	if !alloc.Feasible {
-		return nil, ErrBudgetInfeasible{Scheme: schemeFor(fs), Budget: budget}
 	}
 	return fw.runPhases(phases, moduleIDs, budget, fs, func(int, *workload.Benchmark) (*Allocation, error) {
 		return alloc, nil
@@ -88,20 +81,18 @@ func (fw *Framework) RunPhasedAdaptive(phases []*workload.Benchmark, moduleIDs [
 	if err := validatePhases(phases); err != nil {
 		return nil, err
 	}
-	return fw.runPhases(phases, moduleIDs, budget, fs, func(i int, phase *workload.Benchmark) (*Allocation, error) {
-		pmt, err := fw.calibrated(phase, moduleIDs)
-		if err != nil {
-			return nil, err
-		}
-		alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
-		if err != nil {
-			return nil, err
-		}
-		if !alloc.Feasible {
-			return nil, ErrBudgetInfeasible{Scheme: schemeFor(fs), Budget: budget}
-		}
-		return alloc, nil
+	return fw.runPhases(phases, moduleIDs, budget, fs, func(_ int, phase *workload.Benchmark) (*Allocation, error) {
+		return fw.planPhase(phase, moduleIDs, budget, fs)
 	})
+}
+
+// planPhase calibrates a phase through the PVT and solves its allocation.
+func (fw *Framework) planPhase(phase *workload.Benchmark, moduleIDs []int, budget units.Watts, fs bool) (*Allocation, error) {
+	pmt, err := fw.BuildPMT(phase, moduleIDs, VaPc)
+	if err != nil {
+		return nil, err
+	}
+	return fw.solveFeasible(pmt, budget, schemeFor(fs))
 }
 
 func schemeFor(fs bool) Scheme {

@@ -5,8 +5,6 @@ import (
 
 	"varpower/internal/cluster"
 	"varpower/internal/measure"
-	"varpower/internal/parallel"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -28,6 +26,21 @@ func (e PMTEntry) ModuleMax() units.Watts { return e.CPUMax + e.DramMax }
 // ModuleMin returns the module (CPU+DRAM) power at fmin.
 func (e PMTEntry) ModuleMin() units.Watts { return e.CPUMin + e.DramMin }
 
+func (e PMTEntry) reading() reading {
+	return reading{id: e.ModuleID, n: 2, v: [2][2]float64{
+		{float64(e.CPUMax), float64(e.DramMax)},
+		{float64(e.CPUMin), float64(e.DramMin)},
+	}}
+}
+
+func (PMTEntry) withReading(r reading) PMTEntry {
+	return PMTEntry{
+		ModuleID: r.id,
+		CPUMax:   units.Watts(r.v[0][0]), DramMax: units.Watts(r.v[0][1]),
+		CPUMin: units.Watts(r.v[1][0]), DramMin: units.Watts(r.v[1][1]),
+	}
+}
+
 // PMT is the application-dependent Power Model Table: one entry per module
 // allocated to the application.
 type PMT struct {
@@ -37,31 +50,8 @@ type PMT struct {
 
 // Averages returns the mean of each parameter across the table.
 func (p *PMT) Averages() PMTEntry {
-	var s PMTEntry
-	if len(p.Entries) == 0 {
-		return s
-	}
-	for _, e := range p.Entries {
-		s.CPUMax += e.CPUMax
-		s.DramMax += e.DramMax
-		s.CPUMin += e.CPUMin
-		s.DramMin += e.DramMin
-	}
-	n := units.Watts(float64(len(p.Entries)))
-	return PMTEntry{CPUMax: s.CPUMax / n, DramMax: s.DramMax / n, CPUMin: s.CPUMin / n, DramMin: s.DramMin / n}
-}
-
-// Uniform returns a copy in which every module carries the table's average
-// parameters — the variation-unaware but application-dependent model behind
-// the paper's Pc scheme.
-func (p *PMT) Uniform() *PMT {
-	avg := p.Averages()
-	out := &PMT{Workload: p.Workload, Entries: make([]PMTEntry, len(p.Entries))}
-	for i, e := range p.Entries {
-		avg.ModuleID = e.ModuleID
-		out.Entries[i] = avg
-	}
-	return out
+	avg, _ := mean(p.Entries, nil)
+	return PMTEntry{}.withReading(avg)
 }
 
 // TestPair is the result of the paper's two low-cost single-module test
@@ -70,6 +60,13 @@ type TestPair struct {
 	ModuleID int
 	AtMax    measure.TestRunResult
 	AtMin    measure.TestRunResult
+}
+
+func (p TestPair) reading() reading {
+	return reading{id: p.ModuleID, n: 2, v: [2][2]float64{
+		{float64(p.AtMax.CPUPower), float64(p.AtMax.DramPower)},
+		{float64(p.AtMin.CPUPower), float64(p.AtMin.DramPower)},
+	}}
 }
 
 // RunTestPair executes the two single-module test runs on module id.
@@ -91,30 +88,11 @@ func RunTestPair(sys *cluster.System, bench *workload.Benchmark, id int) (TestPa
 // estimate the system-wide averages, then multiply those averages by every
 // target module's scales to predict its four parameters.
 func Calibrate(pvt *PVT, test TestPair, bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
-	ref, err := pvt.Entry(test.ModuleID)
+	rows, err := calibrate[PVTEntry, PMTEntry](&pvt.table, test.reading(), moduleIDs)
 	if err != nil {
-		return nil, fmt.Errorf("core: calibrate: test %w", err)
+		return nil, err
 	}
-	avgCPUMax := float64(test.AtMax.CPUPower) / ref.CPUMax
-	avgDramMax := float64(test.AtMax.DramPower) / ref.DramMax
-	avgCPUMin := float64(test.AtMin.CPUPower) / ref.CPUMin
-	avgDramMin := float64(test.AtMin.DramPower) / ref.DramMin
-
-	pmt := &PMT{Workload: bench.Name, Entries: make([]PMTEntry, len(moduleIDs))}
-	for i, id := range moduleIDs {
-		e, err := pvt.Entry(id)
-		if err != nil {
-			return nil, fmt.Errorf("core: calibrate: %w", err)
-		}
-		pmt.Entries[i] = PMTEntry{
-			ModuleID: id,
-			CPUMax:   units.Watts(avgCPUMax * e.CPUMax),
-			DramMax:  units.Watts(avgDramMax * e.DramMax),
-			CPUMin:   units.Watts(avgCPUMin * e.CPUMin),
-			DramMin:  units.Watts(avgDramMin * e.DramMin),
-		}
-	}
-	return pmt, nil
+	return &PMT{Workload: bench.Name, Entries: rows}, nil
 }
 
 // OraclePMT measures every allocated module directly — a complete execution
@@ -123,73 +101,19 @@ func Calibrate(pvt *PVT, test TestPair, bench *workload.Benchmark, moduleIDs []i
 // point of the PVT), but it bounds how much accuracy calibration loses. The
 // per-module measurement fans out over workers (< 1 selects GOMAXPROCS, 1
 // is fully serial); results are byte-identical for every worker count.
-// Duplicate module IDs fall back to the serial loop — their test runs
-// reprogram the shared governor in order.
+// A module whose reading is unusable (a 0 W sample, or more power at fmin
+// than at fmax) takes the mean of the readable modules.
 func OraclePMT(sys *cluster.System, bench *workload.Benchmark, moduleIDs []int, workers int) (*PMT, error) {
-	span := telemetry.StartSpan("pmt.oracle").Annotate("%s modules=%d", bench.Name, len(moduleIDs))
-	defer span.End()
-	if hasDuplicates(moduleIDs) {
-		workers = 1
-	}
-	entries, err := parallel.Map(workers, len(moduleIDs), func(i int) (PMTEntry, error) {
-		id := moduleIDs[i]
-		pair, err := RunTestPair(sys, bench, id)
-		if err != nil {
-			return PMTEntry{}, fmt.Errorf("core: oracle PMT module %d: %w", id, err)
-		}
-		return PMTEntry{
-			ModuleID: id,
-			CPUMax:   pair.AtMax.CPUPower,
-			DramMax:  pair.AtMax.DramPower,
-			CPUMin:   pair.AtMin.CPUPower,
-			DramMin:  pair.AtMin.DramPower,
-		}, nil
-	})
+	rows, err := oracle[PMTEntry](cpuClass{sys.Spec.Arch}, sys, bench, moduleIDs, workers)
 	if err != nil {
 		return nil, err
 	}
-	return &PMT{Workload: bench.Name, Entries: entries}, nil
+	return &PMT{Workload: bench.Name, Entries: rows}, nil
 }
-
-// hasDuplicates reports whether the allocation lists any module twice.
-func hasDuplicates(ids []int) bool {
-	seen := make(map[int]struct{}, len(ids))
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
-			return true
-		}
-		seen[id] = struct{}{}
-	}
-	return false
-}
-
-// Naive model constants (Section 6): the variation-unaware scheme takes
-// Pcpu_max/Pdram_max from the architecture's TDP values and uses the
-// empirically observed degradation threshold of 40 W CPU / 10 W DRAM as the
-// minimum-frequency powers. The thresholds are HA8K numbers; other
-// architectures scale by TDP ratio.
-const (
-	naiveCPUMinRef  = 40.0
-	naiveDramMinRef = 10.0
-	naiveRefTDP     = 130.0
-	naiveRefDram    = 62.0
-)
 
 // NaivePMT builds the application-independent, variation-unaware model: TDP
 // at fmax and the fixed empirical thresholds at fmin, identical for every
 // module.
 func NaivePMT(sys *cluster.System, moduleIDs []int) *PMT {
-	arch := sys.Spec.Arch
-	e := PMTEntry{
-		CPUMax:  arch.TDP,
-		DramMax: arch.DramTDP,
-		CPUMin:  units.Watts(naiveCPUMinRef * float64(arch.TDP) / naiveRefTDP),
-		DramMin: units.Watts(naiveDramMinRef * float64(arch.DramTDP) / naiveRefDram),
-	}
-	pmt := &PMT{Workload: "(naive)", Entries: make([]PMTEntry, len(moduleIDs))}
-	for i, id := range moduleIDs {
-		e.ModuleID = id
-		pmt.Entries[i] = e
-	}
-	return pmt
+	return &PMT{Workload: naiveName, Entries: fill[PMTEntry](moduleIDs, cpuClass{sys.Spec.Arch}.naive())}
 }

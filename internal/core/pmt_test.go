@@ -138,16 +138,17 @@ func TestUniformPMT(t *testing.T) {
 		{ModuleID: 0, CPUMax: 100, DramMax: 10, CPUMin: 50, DramMin: 8},
 		{ModuleID: 1, CPUMax: 120, DramMax: 14, CPUMin: 54, DramMin: 12},
 	}}
-	u := pmt.Uniform()
-	if u.Entries[0].CPUMax != 110 || u.Entries[1].CPUMax != 110 {
-		t.Fatalf("uniform CPUMax %v/%v", u.Entries[0].CPUMax, u.Entries[1].CPUMax)
+	flat, _ := mean(pmt.Entries, nil)
+	u := fill[PMTEntry]([]int{0, 1}, flat)
+	if u[0].CPUMax != 110 || u[1].CPUMax != 110 {
+		t.Fatalf("uniform CPUMax %v/%v", u[0].CPUMax, u[1].CPUMax)
 	}
-	if u.Entries[0].ModuleID != 0 || u.Entries[1].ModuleID != 1 {
+	if u[0].ModuleID != 0 || u[1].ModuleID != 1 {
 		t.Fatal("uniform PMT lost module identity")
 	}
 	// The original must be untouched.
 	if pmt.Entries[0].CPUMax != 100 {
-		t.Fatal("Uniform mutated its receiver")
+		t.Fatal("the uniform copy mutated its source")
 	}
 	avg := pmt.Averages()
 	if avg.DramMin != 10 {

@@ -6,7 +6,7 @@
 //     CPU frequencies (pvt.go);
 //  2. a new application is instrumented with power measurement and
 //     management directives (pmmd.go) and test-run on a single module at
-//     fmax and fmin (runner.go);
+//     fmax and fmin (pmt.go);
 //  3. the test measurements are calibrated against the PVT into an
 //     application-dependent Power Model Table (PMT) covering all modules
 //     (pmt.go);
@@ -15,6 +15,11 @@
 //     module receives its own allocation (budget.go, Equations 1–9);
 //  5. the allocation is enforced by RAPL power capping (PC) or frequency
 //     selection (FS) for the final run (schemes.go, runner.go).
+//
+// Steps 1–4 are written once (calibrate.go) and run for every device
+// class: the paper's CPU modules and, on hybrid systems, GPU boards
+// (gpu.go, hetero.go). A class contributes only what differs — its probe,
+// control ladder, spec-sheet row and ranking weights (class.go).
 package core
 
 import (
@@ -24,9 +29,6 @@ import (
 	"io"
 
 	"varpower/internal/cluster"
-	"varpower/internal/faults"
-	"varpower/internal/measure"
-	"varpower/internal/parallel"
 	"varpower/internal/telemetry"
 	"varpower/internal/workload"
 )
@@ -42,194 +44,43 @@ type PVTEntry struct {
 	DramMin  float64 `json:"dram_min"`
 }
 
+func (e PVTEntry) reading() reading {
+	return reading{id: e.ModuleID, n: 2, v: [2][2]float64{{e.CPUMax, e.DramMax}, {e.CPUMin, e.DramMin}}}
+}
+
+func (PVTEntry) withReading(r reading) PVTEntry {
+	return PVTEntry{ModuleID: r.id, CPUMax: r.v[0][0], DramMax: r.v[0][1], CPUMin: r.v[1][0], DramMin: r.v[1][1]}
+}
+
 // PVT is the application-independent, system-level Power Variation Table.
 // It is generated once, when the system is installed, and reused for every
 // application (Section 5.2).
 type PVT struct {
-	System         string     `json:"system"`
-	Microbenchmark string     `json:"microbenchmark"`
-	Entries        []PVTEntry `json:"entries"`
-
-	// Quarantined lists modules whose install-time measurements failed
-	// persistently or fell outside the robust population statistics (MAD
-	// outlier rejection); their entries carry neutral scales and are
-	// excluded from the population averages. Empty on a healthy system.
-	Quarantined []int `json:"quarantined,omitempty"`
-}
-
-// IsQuarantined reports whether a module's PVT entry is a quarantine
-// placeholder rather than a measurement.
-func (p *PVT) IsQuarantined(moduleID int) bool {
-	for _, id := range p.Quarantined {
-		if id == moduleID {
-			return true
-		}
-	}
-	return false
-}
-
-// Entry returns the scales for a module ID.
-func (p *PVT) Entry(moduleID int) (PVTEntry, error) {
-	if moduleID < 0 || moduleID >= len(p.Entries) {
-		return PVTEntry{}, fmt.Errorf("core: module %d not in PVT (%d entries)", moduleID, len(p.Entries))
-	}
-	e := p.Entries[moduleID]
-	if e.ModuleID != moduleID {
-		// Defensive: entries are indexed by ID at generation time.
-		for _, cand := range p.Entries {
-			if cand.ModuleID == moduleID {
-				return cand, nil
-			}
-		}
-		return PVTEntry{}, fmt.Errorf("core: module %d missing from PVT", moduleID)
-	}
-	return e, nil
+	System         string `json:"system"`
+	Microbenchmark string `json:"microbenchmark"`
+	table[PVTEntry]
 }
 
 // GeneratePVT builds the table by test-running the microbenchmark (nil
-// selects *STREAM) on every module of the system at fmax (nominal) and
-// fmin, then normalising each measurement by the population average. This
-// is the install-time step; its cost never recurs during budgeting.
-//
-// The per-module test runs fan out over workers (< 1 selects GOMAXPROCS,
-// 1 is fully serial). Each module's two test runs touch only that module's
-// governor, controller and MSR device, and every random draw comes from a
-// (seed, moduleID, ...)-keyed stream, so the table is byte-identical for
-// every worker count. A progress callback attached to ctx via
-// parallel.WithProgress receives per-module completion updates (the sweep
-// over a full machine is the longest single phase in the repository).
+// selects *STREAM) on every module at fmax (nominal) and fmin, then
+// normalising by the population average — the install-time step, whose
+// cost never recurs during budgeting. The test runs fan out over workers
+// (< 1 selects GOMAXPROCS, 1 is serial) with byte-identical results; a
+// parallel.WithProgress callback on ctx receives per-module updates. Under
+// fault injection, persistently failing or outlying modules are
+// quarantined with neutral scales instead of failing the install.
 func GeneratePVT(ctx context.Context, sys *cluster.System, micro *workload.Benchmark, workers int) (*PVT, error) {
 	if micro == nil {
 		micro = workload.PVTMicrobenchmark()
 	}
 	span := telemetry.StartSpan("pvt.generate").Annotate("%s modules=%d", sys.Spec.Name, sys.NumModules())
 	defer span.End()
-	arch := sys.Spec.Arch
-	n := sys.NumModules()
-	in := sys.Faults()
-	type raw struct {
-		cpuMax, dramMax, cpuMin, dramMin float64
-		quarantined                      bool
-	}
-	raws, err := parallel.MapCtx(ctx, workers, n, func(_ context.Context, id int) (raw, error) {
-		attempts := 1
-		if in != nil {
-			// Faulty hardware: retry the test-run pair before giving up on
-			// the module, then quarantine instead of failing the install.
-			attempts = 1 + pvtRetries
-		}
-		var lastErr error
-		for a := 0; a < attempts; a++ {
-			if a > 0 {
-				faults.MetricRetried.Inc()
-			}
-			hi, err := measure.TestRun(sys, micro, id, arch.FNom)
-			if err != nil {
-				lastErr = fmt.Errorf("core: PVT fmax run on module %d: %w", id, err)
-				continue
-			}
-			lo, err := measure.TestRun(sys, micro, id, arch.FMin)
-			if err != nil {
-				lastErr = fmt.Errorf("core: PVT fmin run on module %d: %w", id, err)
-				continue
-			}
-			return raw{
-				cpuMax: float64(hi.CPUPower), dramMax: float64(hi.DramPower),
-				cpuMin: float64(lo.CPUPower), dramMin: float64(lo.DramPower),
-			}, nil
-		}
-		if in != nil {
-			return raw{quarantined: true}, nil
-		}
-		return raw{}, lastErr
-	})
+	t, err := sweep[PVTEntry](ctx, cpuClass{sys.Spec.Arch}, sys, micro, sys.NumModules(), workers)
 	if err != nil {
 		return nil, err
 	}
-	quar := make([]bool, n)
-	for id := 0; id < n; id++ {
-		quar[id] = raws[id].quarantined
-	}
-	if in != nil {
-		// MAD outlier rejection over each of the four metrics: a module
-		// whose measurement is wildly off-population (a spiked or stuck
-		// counter that still produced numbers) degrades its own entry
-		// instead of corrupting everyone's normalisation. Only runs under
-		// fault injection so a healthy install keeps its exact statistics.
-		for _, get := range []func(raw) float64{
-			func(r raw) float64 { return r.cpuMax },
-			func(r raw) float64 { return r.dramMax },
-			func(r raw) float64 { return r.cpuMin },
-			func(r raw) float64 { return r.dramMin },
-		} {
-			idx := make([]int, 0, n)
-			vals := make([]float64, 0, n)
-			for id := 0; id < n; id++ {
-				if quar[id] {
-					continue
-				}
-				idx = append(idx, id)
-				vals = append(vals, get(raws[id]))
-			}
-			for _, i := range faults.Outliers(vals, 0) {
-				quar[idx[i]] = true
-			}
-		}
-	}
-	// Population averages are reduced in module order after the fan-out so
-	// the float sums are bit-identical for every worker count.
-	var sum raw
-	kept := 0
-	var quarantined []int
-	for id := 0; id < n; id++ {
-		if quar[id] {
-			quarantined = append(quarantined, id)
-			continue
-		}
-		sum.cpuMax += raws[id].cpuMax
-		sum.dramMax += raws[id].dramMax
-		sum.cpuMin += raws[id].cpuMin
-		sum.dramMin += raws[id].dramMin
-		kept++
-	}
-	if kept == 0 {
-		return nil, fmt.Errorf("core: PVT generation quarantined every module")
-	}
-	for range quarantined {
-		faults.MetricQuarantined.Inc()
-	}
-	avg := raw{
-		cpuMax: sum.cpuMax / float64(kept), dramMax: sum.dramMax / float64(kept),
-		cpuMin: sum.cpuMin / float64(kept), dramMin: sum.dramMin / float64(kept),
-	}
-	if avg.cpuMax == 0 || avg.cpuMin == 0 || avg.dramMax == 0 || avg.dramMin == 0 {
-		return nil, fmt.Errorf("core: PVT generation measured zero average power")
-	}
-	pvt := &PVT{
-		System: sys.Spec.Name, Microbenchmark: micro.Name,
-		Entries: make([]PVTEntry, n), Quarantined: quarantined,
-	}
-	for id := 0; id < n; id++ {
-		if quar[id] {
-			// Neutral placeholder: the module is treated as exactly average
-			// if a job lands on it, and reported so schedulers can avoid it.
-			pvt.Entries[id] = PVTEntry{ModuleID: id, CPUMax: 1, DramMax: 1, CPUMin: 1, DramMin: 1}
-			continue
-		}
-		pvt.Entries[id] = PVTEntry{
-			ModuleID: id,
-			CPUMax:   raws[id].cpuMax / avg.cpuMax,
-			DramMax:  raws[id].dramMax / avg.dramMax,
-			CPUMin:   raws[id].cpuMin / avg.cpuMin,
-			DramMin:  raws[id].dramMin / avg.dramMin,
-		}
-	}
-	return pvt, nil
+	return &PVT{System: sys.Spec.Name, Microbenchmark: micro.Name, table: t}, nil
 }
-
-// pvtRetries bounds the extra test-run attempts per module during a faulty
-// install before the module is quarantined.
-const pvtRetries = 2
 
 // Save serialises the PVT as JSON (the on-disk form a production system
 // would keep from install time).
@@ -249,7 +100,7 @@ func LoadPVT(r io.Reader) (*PVT, error) {
 		return nil, fmt.Errorf("core: load PVT: no entries")
 	}
 	for i, e := range p.Entries {
-		if e.CPUMax <= 0 || e.CPUMin <= 0 || e.DramMax <= 0 || e.DramMin <= 0 {
+		if !e.reading().positive() {
 			return nil, fmt.Errorf("core: load PVT: non-positive scale in entry %d", i)
 		}
 	}

@@ -18,7 +18,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"varpower/internal/cluster"
 	"varpower/internal/measure"
@@ -79,25 +79,17 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 	if len(modules) == 0 {
 		return nil, nil, fmt.Errorf("core: refresh needs at least one module")
 	}
-	ids := append([]int(nil), modules...)
-	sort.Ints(ids)
-	dedup := ids[:0]
-	for i, id := range ids {
-		if id < 0 || id >= sys.NumModules() {
-			return nil, nil, fmt.Errorf("core: refresh module %d outside [0,%d)", id, sys.NumModules())
-		}
-		if i > 0 && id == ids[i-1] {
-			continue
-		}
-		dedup = append(dedup, id)
+	ids := slices.Clone(modules)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	if ids[0] < 0 || ids[len(ids)-1] >= sys.NumModules() {
+		return nil, nil, fmt.Errorf("core: refresh modules %v outside [0,%d)", modules, sys.NumModules())
 	}
-	ids = dedup
 
 	micro, err := workload.ByName(pvt.Microbenchmark)
 	if err != nil {
 		micro = workload.PVTMicrobenchmark()
 	}
-	arch := sys.Spec.Arch
 	mRecalibrations.Inc()
 	span := telemetry.StartSpan("pvt.refresh").Annotate("%s modules=%d", sys.Spec.Name, len(ids))
 	defer span.End()
@@ -115,19 +107,12 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 	if err != nil {
 		return nil, nil, err
 	}
-	refHi, err := measure.TestRun(sys, micro, refID, arch.FNom)
+	refPair, err := RunTestPair(sys, micro, refID)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: refresh reference fmax run on module %d: %w", refID, err)
+		return nil, nil, fmt.Errorf("core: refresh reference module %d: %w", refID, err)
 	}
-	refLo, err := measure.TestRun(sys, micro, refID, arch.FMin)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: refresh reference fmin run on module %d: %w", refID, err)
-	}
-	avgCPUMax := float64(refHi.CPUPower) / refEntry.CPUMax
-	avgDramMax := float64(refHi.DramPower) / refEntry.DramMax
-	avgCPUMin := float64(refLo.CPUPower) / refEntry.CPUMin
-	avgDramMin := float64(refLo.DramPower) / refEntry.DramMin
-	if avgCPUMax <= 0 || avgCPUMin <= 0 || avgDramMax <= 0 || avgDramMin <= 0 {
+	avg := refPair.reading().apply(refEntry.reading(), quo)
+	if !avg.positive() {
 		return nil, nil, fmt.Errorf("core: refresh reference module %d measured zero power", refID)
 	}
 
@@ -138,20 +123,16 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 		if err != nil {
 			return ModuleRefresh{}, err
 		}
-		hi, err := measure.TestRun(sys, micro, id, arch.FNom)
+		pair, err := RunTestPair(sys, micro, id)
 		if err != nil {
-			return ModuleRefresh{}, fmt.Errorf("core: refresh fmax run on module %d: %w", id, err)
-		}
-		lo, err := measure.TestRun(sys, micro, id, arch.FMin)
-		if err != nil {
-			return ModuleRefresh{}, fmt.Errorf("core: refresh fmin run on module %d: %w", id, err)
+			return ModuleRefresh{}, fmt.Errorf("core: refresh module %d: %w", id, err)
 		}
 		enf := 1.0
 		if canCap {
 			// Enforcement probe: a cap midway between the module's fmin and
 			// fmax draws is guaranteed to bind, so the observed package
 			// energy over cap-expected energy is the enforcement factor.
-			probeCap := units.Watts((float64(hi.CPUPower) + float64(lo.CPUPower)) / 2)
+			probeCap := units.Watts((float64(pair.AtMax.CPUPower) + float64(pair.AtMin.CPUPower)) / 2)
 			f, err := measure.CappedProbe(sys, micro, id, probeCap)
 			if err != nil {
 				return ModuleRefresh{}, fmt.Errorf("core: refresh enforcement probe on module %d: %w", id, err)
@@ -160,16 +141,13 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 				enf = f
 			}
 		}
+		scales := pair.reading().apply(avg, quo)
+		scales.v[0][0] /= enf
+		scales.v[1][0] /= enf
 		return ModuleRefresh{
 			Module: id, Old: old, Enforcement: enf,
 			WasQuarantined: pvt.IsQuarantined(id),
-			New: PVTEntry{
-				ModuleID: id,
-				CPUMax:   float64(hi.CPUPower) / avgCPUMax / enf,
-				DramMax:  float64(hi.DramPower) / avgDramMax,
-				CPUMin:   float64(lo.CPUPower) / avgCPUMin / enf,
-				DramMin:  float64(lo.DramPower) / avgDramMin,
-			},
+			New:            PVTEntry{}.withReading(scales),
 		}, nil
 	})
 	if err != nil {
@@ -179,7 +157,7 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 	next := &PVT{
 		System:         pvt.System,
 		Microbenchmark: pvt.Microbenchmark,
-		Entries:        append([]PVTEntry(nil), pvt.Entries...),
+		table:          table[PVTEntry]{Entries: append([]PVTEntry(nil), pvt.Entries...)},
 	}
 	refreshed := make(map[int]bool, len(ids))
 	for _, row := range rows {
@@ -201,20 +179,17 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 }
 
 // refreshReference picks the module anchoring the implied population
-// averages: not being refreshed, not quarantined, and — like testModuleFor
-// — the one whose scales lie closest to the population mean, where any
-// measurement idiosyncrasy has the least leverage.
+// averages: not being refreshed, not quarantined, and — like the
+// calibration test module (closest) — the one whose scales lie closest to
+// the population mean, where any measurement idiosyncrasy has the least
+// leverage.
 func refreshReference(pvt *PVT, refreshing []int) (int, error) {
-	skip := make(map[int]bool, len(refreshing))
-	for _, id := range refreshing {
-		skip[id] = true
-	}
 	best, bestDev := -1, 0.0
 	for _, e := range pvt.Entries {
-		if skip[e.ModuleID] || pvt.IsQuarantined(e.ModuleID) {
+		if slices.Contains(refreshing, e.ModuleID) || pvt.IsQuarantined(e.ModuleID) {
 			continue
 		}
-		dev := abs(e.CPUMax-1) + abs(e.CPUMin-1) + 0.25*(abs(e.DramMax-1)+abs(e.DramMin-1))
+		dev := deviation(cpuWeights, e.reading())
 		if best < 0 || dev < bestDev {
 			best, bestDev = e.ModuleID, dev
 		}
@@ -223,14 +198,6 @@ func refreshReference(pvt *PVT, refreshing []int) (int, error) {
 		return 0, fmt.Errorf("core: refresh has no healthy reference module (all %d flagged or quarantined)", len(pvt.Entries))
 	}
 	return best, nil
-}
-
-// abs avoids importing math for one call site.
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Refresh re-measures the listed modules and splices the result into the

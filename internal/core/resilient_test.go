@@ -193,10 +193,11 @@ func TestPVTQuarantineUnderSensorFaults(t *testing.T) {
 	if e.CPUMax != 1 || e.DramMax != 1 || e.CPUMin != 1 || e.DramMin != 1 {
 		t.Fatalf("quarantined entry not neutral: %+v", e)
 	}
-	if got := fw.testModuleFor(ids); got == 6 {
+	test, holdout := rank(cpuClass{fw.Sys.Spec.Arch}, &fw.PVT.table, ids)
+	if test == 6 {
 		t.Fatal("quarantined module chosen as calibration test module")
 	}
-	if got := fw.holdoutModuleFor(ids); got == 6 {
+	if holdout == 6 {
 		t.Fatal("quarantined module chosen as FS holdout")
 	}
 	// The pipeline still runs end to end on the degraded table.
@@ -239,6 +240,46 @@ func TestResilientTraceByteIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(refTrace, gotTrace) {
 			t.Fatalf("workers=%d trace differs from serial (%d vs %d bytes)", w, len(gotTrace), len(refTrace))
+		}
+	}
+}
+
+// TestOracleRowsReadableUnderFaults: on a faulty machine some modules read
+// 0 W at fmax on every attempt, which used to leave oracle rows with min
+// above max and Solve rejecting the table as an inverted power range. The
+// oracle now gives such rows the mean of the readable ones.
+func TestOracleRowsReadableUnderFaults(t *testing.T) {
+	const n, seed = 192, 1
+	level, err := faults.LevelByName("low", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.Generate(seed, level.Spec, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := cluster.MustNew(cluster.HA8K(), n, seed)
+	sys.InstallFaults(faults.MustInjector(plan))
+	fw, err := NewFrameworkWorkers(sys, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := sys.AllocateFirst(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []Scheme{VaPcOr, VaFsOr, Pc} {
+		pmt, err := fw.BuildPMT(workload.DGEMM(), ids, scheme)
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		for _, e := range pmt.Entries {
+			if !e.reading().readable() {
+				t.Fatalf("%v: module %d row unreadable: %+v", scheme, e.ModuleID, e)
+			}
+		}
+		if _, err := Solve(pmt, sys.Spec.Arch, units.Watts(80*n)); err != nil {
+			t.Fatalf("%v: %v", scheme, err)
 		}
 	}
 }

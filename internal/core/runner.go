@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"varpower/internal/attrib"
 	"varpower/internal/cluster"
@@ -84,130 +83,17 @@ func (fw *Framework) Clone() *Framework {
 }
 
 // BuildPMT constructs the scheme's power model for the allocated modules:
-//
-//   - Naive: TDP-based constants, no measurement at all;
-//   - Pc: single-module test runs calibrated through the PVT, then averaged
-//     so every module is treated identically (application-aware,
-//     variation-unaware);
-//   - VaPc / VaFs: single-module test runs calibrated through the PVT
-//     (Section 5.2);
-//   - VaPcOr / VaFsOr: oracle measurement of every module.
-//
+// TDP-based constants for Naive, an all-module measurement averaged into a
+// uniform table for Pc, single-module test runs calibrated through the PVT
+// for VaPc/VaFs, and oracle measurement of every module for VaPcOr/VaFsOr.
 // The test module for calibrated schemes is drawn from the job's own
-// allocation, as in the paper; see testModuleFor for how it is chosen.
+// allocation, as in the paper; see closest for how it is chosen.
 func (fw *Framework) BuildPMT(bench *workload.Benchmark, moduleIDs []int, scheme Scheme) (*PMT, error) {
-	if len(moduleIDs) == 0 {
-		return nil, fmt.Errorf("core: empty module allocation")
-	}
-	switch scheme {
-	case Naive:
-		return NaivePMT(fw.Sys, moduleIDs), nil
-	case Pc:
-		// The paper's Pc uses "the application-specific average values
-		// across all modules" — an all-module measurement averaged into a
-		// uniform table, not the single-module calibration.
-		pmt, err := OraclePMT(fw.Sys, bench, moduleIDs, fw.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return pmt.Uniform(), nil
-	case VaPc, VaFs:
-		return fw.calibrated(bench, moduleIDs)
-	case VaPcOr, VaFsOr:
-		return OraclePMT(fw.Sys, bench, moduleIDs, fw.Workers)
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
-	}
-}
-
-func (fw *Framework) calibrated(bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
-	pair, err := RunTestPair(fw.Sys, bench, fw.testModuleFor(moduleIDs))
+	rows, err := model[PVTEntry, PMTEntry](cpuClass{fw.Sys.Spec.Arch}, fw.Sys, bench, &fw.PVT.table, moduleIDs, scheme, fw.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return Calibrate(fw.PVT, pair, bench, moduleIDs)
-}
-
-// fsMargin measures the calibrated model's relative prediction error on a
-// held-out module (the allocated module ranked second-closest to the PVT
-// mean) and returns it, clamped to [0.005, 0.08], as the fractional budget
-// reserve for frequency selection.
-func (fw *Framework) fsMargin(pmt *PMT, bench *workload.Benchmark, moduleIDs []int) (float64, error) {
-	holdout := fw.holdoutModuleFor(moduleIDs)
-	pair, err := RunTestPair(fw.Sys, bench, holdout)
-	if err != nil {
-		return 0, fmt.Errorf("core: FS margin holdout run: %w", err)
-	}
-	var pred *PMTEntry
-	for i := range pmt.Entries {
-		if pmt.Entries[i].ModuleID == holdout {
-			pred = &pmt.Entries[i]
-			break
-		}
-	}
-	if pred == nil {
-		return 0, fmt.Errorf("core: holdout module %d missing from PMT", holdout)
-	}
-	margin := holdoutError(*pred, TestPair{ModuleID: holdout, AtMax: pair.AtMax, AtMin: pair.AtMin})
-	return units.Clamp(margin, 0.005, 0.08), nil
-}
-
-// holdoutModuleFor returns the allocated module ranked second-closest to
-// the PVT population mean (the closest hosts the calibration test runs).
-func (fw *Framework) holdoutModuleFor(moduleIDs []int) int {
-	test := fw.testModuleFor(moduleIDs)
-	best := moduleIDs[0]
-	if best == test && len(moduleIDs) > 1 {
-		best = moduleIDs[1]
-	}
-	bestDev := math.Inf(1)
-	for _, id := range moduleIDs {
-		if id == test || fw.PVT.IsQuarantined(id) {
-			continue
-		}
-		e, err := fw.PVT.Entry(id)
-		if err != nil {
-			continue
-		}
-		dev := math.Abs(e.CPUMax-1) + math.Abs(e.CPUMin-1) +
-			0.25*(math.Abs(e.DramMax-1)+math.Abs(e.DramMin-1))
-		if dev < bestDev {
-			bestDev = dev
-			best = id
-		}
-	}
-	return best
-}
-
-// testModuleFor picks which allocated module hosts the single-module test
-// runs: the one whose PVT scales lie closest to the population mean.
-//
-// Calibration divides the test measurement by the test module's scales, so
-// any idiosyncrasy of that one module (an extreme leakage/dynamic mix, a
-// large workload residual) biases the whole table — and through α, the
-// power of *every* module of an FS run. An average module has the least
-// leverage; the PVT, which the system already has, identifies it for free.
-// Quarantined modules carry placeholder scales of exactly 1.0 — deceptively
-// "closest to the mean" — so they are skipped outright.
-func (fw *Framework) testModuleFor(moduleIDs []int) int {
-	best := moduleIDs[0]
-	bestDev := math.Inf(1)
-	for _, id := range moduleIDs {
-		if fw.PVT.IsQuarantined(id) {
-			continue
-		}
-		e, err := fw.PVT.Entry(id)
-		if err != nil {
-			continue
-		}
-		dev := math.Abs(e.CPUMax-1) + math.Abs(e.CPUMin-1) +
-			0.25*(math.Abs(e.DramMax-1)+math.Abs(e.DramMin-1))
-		if dev < bestDev {
-			bestDev = dev
-			best = id
-		}
-	}
-	return best
+	return &PMT{Workload: modelName(bench, scheme), Entries: rows}, nil
 }
 
 // SchemeRun is one complete scheme evaluation: the model, the allocation,
@@ -235,6 +121,16 @@ func (e ErrBudgetInfeasible) Error() string {
 	return fmt.Sprintf("core: budget %v infeasible under scheme %v (exceeds fmin power)", e.Budget, e.Scheme)
 }
 
+// solveFeasible solves the model for budget, failing when even fmin
+// everywhere exceeds it.
+func (fw *Framework) solveFeasible(pmt *PMT, budget units.Watts, scheme Scheme) (*Allocation, error) {
+	alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
+	if err == nil && !alloc.Feasible {
+		err = ErrBudgetInfeasible{Scheme: scheme, Budget: budget}
+	}
+	return alloc, err
+}
+
 // Run executes the full pipeline for one (application, allocation, budget,
 // scheme) combination: instrument, test-run/calibrate per the scheme, solve
 // for α, enforce via PC or FS, and run the application.
@@ -260,7 +156,7 @@ func (fw *Framework) Run(bench *workload.Benchmark, moduleIDs []int, budget unit
 		// so a calibration under-estimate turns directly into a budget
 		// violation. Guard with a margin equal to the model's *measured*
 		// error on a held-out module — one extra cheap test pair.
-		margin, err := fw.fsMargin(pmt, bench, moduleIDs)
+		margin, err := fsMargin(cpuClass{fw.Sys.Spec.Arch}, fw.Sys, bench, &fw.PVT.table, pmt.Entries, moduleIDs)
 		if err != nil {
 			return nil, err
 		}

@@ -242,7 +242,7 @@ func TestFrameworkWithPVT(t *testing.T) {
 	if _, err := NewFrameworkWithPVT(fw.Sys, nil); err == nil {
 		t.Error("nil PVT accepted")
 	}
-	other := &PVT{System: "elsewhere", Entries: fw.PVT.Entries}
+	other := &PVT{System: "elsewhere", table: table[PVTEntry]{Entries: fw.PVT.Entries}}
 	if _, err := NewFrameworkWithPVT(fw.Sys, other); err == nil {
 		t.Error("foreign PVT accepted")
 	}

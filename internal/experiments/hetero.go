@@ -201,17 +201,7 @@ func Hetero(o Options) (*HeteroResult, error) {
 // heteroBudgetFor derives the machine budget from the naive (spec-sheet)
 // demand envelope of both classes — deterministic in the system alone.
 func heteroBudgetFor(hf *core.HeteroFramework, ids, devs []int) units.Watts {
-	pmt := core.NaivePMT(hf.Sys, ids)
-	gpmt := core.NaiveGPUPMT(hf.Sys.Spec.GPU.Arch, devs)
-	var min, max units.Watts
-	for _, e := range pmt.Entries {
-		min += e.ModuleMin()
-		max += e.ModuleMax()
-	}
-	for _, e := range gpmt.Entries {
-		min += e.PowerMin
-		max += e.PowerMax
-	}
+	min, max := hf.NaiveDemand(ids, devs)
 	return units.Watts(units.Lerp(float64(min), float64(max), HeteroBudgetFrac))
 }
 

@@ -765,6 +765,12 @@ func pmtKey(gen uint64, req SolveRequest) string {
 		gen, req.System, req.Workload, req.Scheme, req.Modules, req.Seed, req.Faults)
 }
 
+// pooled reports whether a canonical request solves against the owned base
+// system: the serving seed, healthy, at most the loaded size.
+func (s *Server) pooled(req SolveRequest, base *core.Framework) bool {
+	return req.Seed == s.cfg.Seed && req.Faults == "" && req.Modules <= base.Sys.NumModules()
+}
+
 // frameworkFor materialises the system a canonical request solves against.
 // The serving-seed, healthy, full-size case borrows a pooled replica of the
 // owned base system (release returns it reset for the next request); any
@@ -773,7 +779,7 @@ func pmtKey(gen uint64, req SolveRequest) string {
 // release exactly once, after their last use of the framework.
 func (s *Server) frameworkFor(req SolveRequest, b *baseSystem) (fw *core.Framework, release func(), err error) {
 	base, pool, _ := b.snapshot()
-	if req.Seed == s.cfg.Seed && req.Faults == "" && req.Modules <= base.Sys.NumModules() {
+	if s.pooled(req, base) {
 		fw := pool.Get()
 		return fw, func() { pool.Put(fw) }, nil
 	}
@@ -828,13 +834,7 @@ func (s *Server) calibrate(ctx context.Context, gen uint64, req SolveRequest, b 
 		if err != nil {
 			return calibration{}, err
 		}
-		var quarantined []int
-		for _, id := range fw.PVT.Quarantined {
-			if id < req.Modules {
-				quarantined = append(quarantined, id)
-			}
-		}
-		return calibration{pmt: pmt, quarantined: quarantined}, nil
+		return calibration{pmt: pmt, quarantined: quarantinedBelow(fw.PVT, req.Modules)}, nil
 	})
 	sp.SetAttr("cache", string(disp))
 	sp.Fail(err)
@@ -876,17 +876,34 @@ func (s *Server) solveBody(ctx context.Context, gen uint64, req SolveRequest, b 
 		PredictedPowerW: float64(alloc.TotalPredicted()),
 		PredictedTimeS:  float64(core.PredictTime(bench, b.spec.Arch, alloc, scheme)),
 		Quarantined:     cal.quarantined,
-		Allocations:     make([]ModuleAllocation, len(alloc.Entries)),
+		Allocations:     moduleAllocations(alloc),
 	}
+	return marshalBody(resp)
+}
+
+// quarantinedBelow lists the PVT's quarantined modules among the first n.
+func quarantinedBelow(pvt *core.PVT, n int) []int {
+	var out []int
+	for _, id := range pvt.Quarantined {
+		if id < n {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// moduleAllocations renders an allocation's per-module entries.
+func moduleAllocations(alloc *core.Allocation) []ModuleAllocation {
+	out := make([]ModuleAllocation, len(alloc.Entries))
 	for i, e := range alloc.Entries {
-		resp.Allocations[i] = ModuleAllocation{
+		out[i] = ModuleAllocation{
 			Module:  e.ModuleID,
 			PModule: float64(e.Pmodule),
 			PCPU:    float64(e.Pcpu),
 			PDram:   float64(e.Pdram),
 		}
 	}
-	return marshalBody(resp)
+	return out
 }
 
 // solveHeteroBody is the hybrid system's cache-miss path: the machine
@@ -906,8 +923,7 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 	}
 	defer release()
 	gpvt := b.gpvt
-	if gpvt == nil || req.Seed != s.cfg.Seed || req.Faults != "" ||
-		req.Modules > b.framework().Sys.NumModules() {
+	if gpvt == nil || !s.pooled(req, b.framework()) {
 		// Custom seed, fault level or size: the owned table does not
 		// describe this replica's devices — run the install-time sweep on
 		// it (pooled replicas are clones of the base system and keep the
@@ -933,12 +949,6 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 	if err != nil {
 		return nil, err
 	}
-	var quarantined []int
-	for _, id := range fw.PVT.Quarantined {
-		if id < req.Modules {
-			quarantined = append(quarantined, id)
-		}
-	}
 	resp := SolveResponse{
 		System:      req.System,
 		Workload:    req.Workload,
@@ -955,8 +965,8 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 
 		PredictedPowerW: float64(alloc.CPU.TotalPredicted() + alloc.GPU.TotalPredicted()),
 		PredictedTimeS:  float64(alloc.PredictedTime),
-		Quarantined:     quarantined,
-		Allocations:     make([]ModuleAllocation, len(alloc.CPU.Entries)),
+		Quarantined:     quarantinedBelow(fw.PVT, req.Modules),
+		Allocations:     moduleAllocations(alloc.CPU),
 
 		Splitter:       req.Splitter,
 		CPUBudgetW:     float64(alloc.CPUBudget),
@@ -965,14 +975,6 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 		GPUClockHz:     float64(alloc.GPU.Clock),
 		GPUQuarantined: gpvt.Quarantined,
 		GPUAllocations: make([]GPUAllocation, len(alloc.GPU.Entries)),
-	}
-	for i, e := range alloc.CPU.Entries {
-		resp.Allocations[i] = ModuleAllocation{
-			Module:  e.ModuleID,
-			PModule: float64(e.Pmodule),
-			PCPU:    float64(e.Pcpu),
-			PDram:   float64(e.Pdram),
-		}
 	}
 	for i, e := range alloc.GPU.Entries {
 		resp.GPUAllocations[i] = GPUAllocation{Device: e.DeviceID, PowerW: float64(e.Power)}
