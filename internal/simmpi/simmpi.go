@@ -35,20 +35,21 @@ import (
 // *virtual* (simulated) seconds; counters are incremented once per round,
 // not per rank, so the hot loop stays untouched.
 var (
-	mRounds = func() map[string]*telemetry.Counter {
-		m := make(map[string]*telemetry.Counter, 4)
-		for _, kind := range []string{"compute", "sendrecv", "barrier", "allreduce"} {
-			m[kind] = telemetry.Default().Counter("varpower_mpi_rounds_total",
-				"SPMD operation rounds executed, by operation kind.", telemetry.Labels{"kind": kind})
-		}
-		return m
-	}()
-	mRankBusy = telemetry.Default().Histogram("varpower_mpi_rank_busy_seconds",
+	mRoundsCompute   = roundCounter("compute")
+	mRoundsSendrecv  = roundCounter("sendrecv")
+	mRoundsBarrier   = roundCounter("barrier")
+	mRoundsAllreduce = roundCounter("allreduce")
+	mRankBusy        = telemetry.Default().Histogram("varpower_mpi_rank_busy_seconds",
 		"Per-rank compute (busy) time per run, in simulated seconds.", telemetry.SecondBuckets, nil)
 	mRankWait = telemetry.Default().Histogram("varpower_mpi_rank_wait_seconds",
 		"Per-rank time blocked on slower peers per run, in simulated seconds — the paper's wait-time inhomogeneity signal.",
 		telemetry.SecondBuckets, nil)
 )
+
+func roundCounter(kind string) *telemetry.Counter {
+	return telemetry.Default().Counter("varpower_mpi_rounds_total",
+		"SPMD operation rounds executed, by operation kind.", telemetry.Labels{"kind": kind})
+}
 
 // Op is one operation of a rank's program.
 type Op interface{ isOp() }
@@ -245,9 +246,20 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	if err != nil {
 		return Result{}, err
 	}
+	// Each rank's End is its clock while the run advances. arrive snapshots
+	// the clocks at a communication round; a one-rank run keeps it on the
+	// stack, so its only allocation is the result.
 	res := Result{Ranks: make([]RankStats, size)}
-	t := make([]units.Seconds, size)
-	arrive := make([]units.Seconds, size)
+	var one [1]units.Seconds
+	arrive := one[:]
+	if size > 1 {
+		arrive = make([]units.Seconds, size)
+	}
+	snapshot := func() {
+		for rank := range arrive {
+			arrive[rank] = res.Ranks[rank].End
+		}
+	}
 	rounds := p.Rounds()
 
 	for r := 0; r < rounds; r++ {
@@ -255,7 +267,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 		// communication: they stop participating from this round on.
 		if fault != nil {
 			for rank := 0; rank < size; rank++ {
-				if fault.dies(rank, t[rank]) {
+				if fault.dies(rank, res.Ranks[rank].End) {
 					fault.dead[rank] = true
 				}
 			}
@@ -263,7 +275,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 		proto := p.Round(0, r)
 		switch proto.(type) {
 		case Compute:
-			mRounds["compute"].Inc()
+			mRoundsCompute.Inc()
 			for rank := 0; rank < size; rank++ {
 				if fault != nil && fault.dead[rank] {
 					continue
@@ -276,26 +288,27 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				if dt < 0 {
 					return Result{}, fmt.Errorf("simmpi: negative compute time %v at rank %d round %d", dt, rank, r)
 				}
-				if fault != nil && fault.dies(rank, t[rank]+dt) {
+				st := &res.Ranks[rank]
+				if fault != nil && fault.dies(rank, st.End+dt) {
 					// The rank dies mid-compute: truncate the op at the
 					// death time and mark the rank down.
-					if da := fault.deadAt[rank]; da > t[rank] {
-						dt = da - t[rank]
+					if da := fault.deadAt[rank]; da > st.End {
+						dt = da - st.End
 					} else {
 						dt = 0
 					}
 					fault.dead[rank] = true
 				}
 				if probe != nil && dt > 0 {
-					probe.Interval(rank, r, ProbeCompute, t[rank], t[rank]+dt)
+					probe.Interval(rank, r, ProbeCompute, st.End, st.End+dt)
 				}
-				t[rank] += dt
-				res.Ranks[rank].Busy += dt
+				st.End += dt
+				st.Busy += dt
 			}
 
 		case Sendrecv:
-			mRounds["sendrecv"].Inc()
-			copy(arrive, t)
+			mRoundsSendrecv.Inc()
+			snapshot()
 			for rank := 0; rank < size; rank++ {
 				if fault != nil && fault.dead[rank] {
 					continue
@@ -331,7 +344,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				st.Wait += start - arrive[rank]
 				st.Xfer += xfer
 				st.Sendrecv += end - arrive[rank]
-				t[rank] = end
+				st.End = end
 				if probe != nil {
 					if start > arrive[rank] {
 						probe.Interval(rank, r, ProbeP2PWait, arrive[rank], start)
@@ -347,12 +360,12 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 			}
 
 		case Barrier, Allreduce:
-			kind := "barrier"
+			kind, counter := "barrier", mRoundsBarrier
 			if _, isAR := proto.(Allreduce); isAR {
-				kind = "allreduce"
+				kind, counter = "allreduce", mRoundsAllreduce
 			}
-			mRounds[kind].Inc()
-			copy(arrive, t)
+			counter.Inc()
+			snapshot()
 			var max units.Seconds
 			anyDead := false
 			for rank := 0; rank < size; rank++ {
@@ -385,7 +398,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				st := &res.Ranks[rank]
 				st.Wait += max - arrive[rank]
 				st.Xfer += cost
-				t[rank] = max + cost
+				st.End = max + cost
 				if probe != nil {
 					if max > arrive[rank] {
 						probe.Interval(rank, r, ProbeCollectiveWait, arrive[rank], max)
@@ -410,25 +423,25 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	// before the run's end are all reflected.
 	if fault != nil {
 		for rank := 0; rank < size; rank++ {
-			if fault.dies(rank, t[rank]) {
+			if fault.dies(rank, res.Ranks[rank].End) {
 				fault.dead[rank] = true
 			}
 		}
 	}
 	var maxAny units.Seconds
-	for rank := 0; rank < size; rank++ {
-		res.Ranks[rank].End = t[rank]
+	for rank := range res.Ranks {
+		st := &res.Ranks[rank]
 		if fault != nil && fault.dead[rank] {
-			res.Ranks[rank].Dead = true
+			st.Dead = true
 		}
-		if t[rank] > maxAny {
-			maxAny = t[rank]
+		if st.End > maxAny {
+			maxAny = st.End
 		}
-		if !res.Ranks[rank].Dead && t[rank] > res.Elapsed {
-			res.Elapsed = t[rank]
+		if !st.Dead && st.End > res.Elapsed {
+			res.Elapsed = st.End
 		}
-		mRankBusy.Observe(float64(res.Ranks[rank].Busy))
-		mRankWait.Observe(float64(res.Ranks[rank].Wait))
+		mRankBusy.Observe(float64(st.Busy))
+		mRankWait.Observe(float64(st.Wait))
 	}
 	if res.Elapsed == 0 && fault != nil {
 		// Every rank died: report the last death as completion.

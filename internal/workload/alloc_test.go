@@ -9,8 +9,8 @@ import (
 
 // The budgets below are explicit failing bounds, not measurements: programs
 // pre-box their per-rank ops at build time, so serving rounds is
-// allocation-free, and a whole DES run allocates only its result and two
-// scratch slices. A regression that reintroduces per-round boxing (the old
+// allocation-free, and a whole DES run allocates only its result and one
+// scratch slice. A regression that reintroduces per-round boxing (the old
 // 36%-of-all-allocations hot spot) trips these immediately.
 
 // TestRoundAllocBudget: Program.Round must return pre-built ops for every
@@ -37,7 +37,7 @@ func TestRoundAllocBudget(t *testing.T) {
 // TestCollectiveRunAllocBudget: one full simmpi run — every compute round,
 // halo exchange or collective, and the finalize barrier — must stay within
 // a fixed handful of allocations (the per-rank result slice and the
-// runtime's two reusable scratch slices), independent of round count.
+// runtime's arrival snapshot), independent of round count.
 func TestCollectiveRunAllocBudget(t *testing.T) {
 	model := simmpi.ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
 		return units.Seconds(cycles / 2.7e9)

@@ -172,13 +172,17 @@ func (b *Benchmark) FrequencySensitivity(arch *module.Arch) float64 {
 // Round once per rank per round in its hot loop, so returning prebuilt
 // (already boxed) ops keeps that loop allocation-free. Imbalance draws and
 // torus neighbour lists are likewise computed once per rank instead of once
-// per round.
+// per round. A one-rank program — every calibration test run — keeps its
+// op table inside the program itself.
 func (b *Benchmark) Program(size int, seed uint64) (simmpi.Program, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("workload: program size %d", size)
 	}
-	p := &program{bench: b, size: size, seed: seed}
-	p.computeOps = make([]simmpi.Op, size)
+	p := &program{comm: b.Comm, iterations: b.Iterations}
+	p.computeOps = p.one[:]
+	if size > 1 {
+		p.computeOps = make([]simmpi.Op, size)
+	}
 	for rank := 0; rank < size; rank++ {
 		w := b.Imbalance(seed, rank)
 		p.computeOps[rank] = simmpi.Compute{
@@ -188,7 +192,7 @@ func (b *Benchmark) Program(size int, seed uint64) (simmpi.Program, error) {
 	}
 	switch b.Comm {
 	case CommHalo3D:
-		p.topo = NewTorus3D(size)
+		topo := NewTorus3D(size)
 		p.commOps = make([]simmpi.Op, size)
 		// One flat backing array for every rank's neighbour list; capacity 6
 		// covers the worst case (±1 in three dimensions), so the sub-slices
@@ -196,7 +200,7 @@ func (b *Benchmark) Program(size int, seed uint64) (simmpi.Program, error) {
 		flat := make([]int, 0, 6*size)
 		for rank := 0; rank < size; rank++ {
 			start := len(flat)
-			flat = p.topo.AppendNeighbors(flat, rank)
+			flat = topo.AppendNeighbors(flat, rank)
 			p.commOps[rank] = simmpi.Sendrecv{Peers: flat[start:len(flat):len(flat)], Bytes: b.MsgBytes}
 		}
 	case CommAllreduce, CommFinalReduce:
@@ -207,15 +211,15 @@ func (b *Benchmark) Program(size int, seed uint64) (simmpi.Program, error) {
 
 // program implements simmpi.Program for a Benchmark.
 type program struct {
-	bench *Benchmark
-	size  int
-	seed  uint64
-	topo  *Torus3D
+	comm       CommPattern
+	iterations int
 
 	// Prebuilt, pre-boxed operations (see Program). computeOps[rank] is the
-	// rank's compute op; commOps[rank] is its halo exchange; commOp is the
-	// shared collective for reduction patterns.
+	// rank's compute op (backed by one for a single rank); commOps[rank] is
+	// its halo exchange; commOp is the shared collective for reduction
+	// patterns.
 	computeOps []simmpi.Op
+	one        [1]simmpi.Op
 	commOps    []simmpi.Op
 	commOp     simmpi.Op
 }
@@ -224,29 +228,29 @@ type program struct {
 // communication round per iteration for iterative patterns, plus one final
 // collective for CommFinalReduce.
 func (p *program) Rounds() int {
-	switch p.bench.Comm {
+	switch p.comm {
 	case CommHalo3D, CommAllreduce:
-		return 2 * p.bench.Iterations
+		return 2 * p.iterations
 	case CommFinalReduce:
-		return p.bench.Iterations + 1
+		return p.iterations + 1
 	default:
-		return p.bench.Iterations
+		return p.iterations
 	}
 }
 
 // Round implements simmpi.Program by indexing the prebuilt op tables.
 func (p *program) Round(rank, r int) simmpi.Op {
-	switch p.bench.Comm {
+	switch p.comm {
 	case CommHalo3D, CommAllreduce:
 		if r%2 == 0 {
 			return p.computeOps[rank]
 		}
-		if p.bench.Comm == CommHalo3D {
+		if p.comm == CommHalo3D {
 			return p.commOps[rank]
 		}
 		return p.commOp
 	case CommFinalReduce:
-		if r < p.bench.Iterations {
+		if r < p.iterations {
 			return p.computeOps[rank]
 		}
 		return p.commOp
