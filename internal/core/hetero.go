@@ -109,12 +109,12 @@ func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, dev
 	budget units.Watts, scheme Scheme, splitter Splitter) (*HeteroAllocation, *PMT, *GPUPMT, error) {
 	span := telemetry.StartSpan("hetero.solve").Annotate("%s %v %v/%v", bench.Name, budget, scheme, splitter)
 	defer span.End()
-	pmt, err := hf.BuildPMT(bench, moduleIDs, scheme)
+	pmt, test, err := hf.buildPMT(bench, moduleIDs, scheme)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	cpu, gpu := cpuClass{hf.Sys.Spec.Arch}, gpuClass{hf.Sys.Spec.GPU.Arch}
-	grows, err := model[GPUPVTEntry, GPUPMTEntry](gpu, hf.Sys, bench, &hf.GPVT.table, deviceIDs, scheme, hf.Workers)
+	grows, gtest, err := model[GPUPVTEntry, GPUPMTEntry](gpu, hf.Sys, bench, &hf.GPVT.table, deviceIDs, scheme, hf.Workers)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -132,12 +132,12 @@ func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, dev
 	cpuBudget, gpuBudget := shares[0], shares[1]
 	cpuSolve, gpuSolve := cpuBudget, gpuBudget
 	if scheme == VaFs {
-		m, err := fsMargin(cpu, hf.Sys, bench, &hf.PVT.table, pmt.Entries, moduleIDs)
+		m, err := fsMargin(cpu, hf.Sys, bench, &hf.PVT.table, pmt.Entries, moduleIDs, test)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		cpuSolve = units.Watts(float64(cpuBudget) * (1 - m))
-		gm, err := fsMargin(gpu, hf.Sys, bench, &hf.GPVT.table, gpmt.Entries, deviceIDs)
+		gm, err := fsMargin(gpu, hf.Sys, bench, &hf.GPVT.table, gpmt.Entries, deviceIDs, gtest)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -150,7 +150,7 @@ func TestSolveGPUProperties(t *testing.T) {
 	hf, _, devs := testHetero(t, 16, 1)
 	bench := workload.MHD()
 	gpu := gpuClass{hf.Sys.Spec.GPU.Arch}
-	rows, err := model[GPUPVTEntry, GPUPMTEntry](gpu, hf.Sys, bench, &hf.GPVT.table, devs, VaPcOr, 1)
+	rows, _, err := model[GPUPVTEntry, GPUPMTEntry](gpu, hf.Sys, bench, &hf.GPVT.table, devs, VaPcOr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
