@@ -180,9 +180,9 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 
 // refreshReference picks the module anchoring the implied population
 // averages: not being refreshed, not quarantined, and — like the
-// calibration test module (closest) — the one whose scales lie closest to
-// the population mean, where any measurement idiosyncrasy has the least
-// leverage.
+// calibration test module (nextCandidate) — the one whose scales lie
+// closest to the population mean, where any measurement idiosyncrasy has
+// the least leverage.
 func refreshReference(pvt *PVT, refreshing []int) (int, error) {
 	best, bestDev := -1, 0.0
 	for _, e := range pvt.Entries {
