@@ -254,7 +254,7 @@ func ablationSpeedup(b *testing.B, sys *cluster.System, n int) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fw, err := core.NewFramework(sys, nil)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func BenchmarkAblationPstates(b *testing.B) {
 				spec.Arch.PStateStep = units.MHz(stepMHz)
 				sys := cluster.MustNew(spec, n, 0x5c15)
 				ids, _ := sys.AllocateFirst(n)
-				fw, err := core.NewFramework(sys, nil)
+				fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -374,7 +374,7 @@ func BenchmarkAblationJitter(b *testing.B) {
 				sys := cluster.MustNew(cluster.HA8K(), n, 0x5c15)
 				sys.SetControlModel(c.control)
 				ids, _ := sys.AllocateFirst(n)
-				fw, err := core.NewFramework(sys, nil)
+				fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -402,7 +402,7 @@ func BenchmarkExtensionDynamic(b *testing.B) {
 	const n = 256
 	sys := cluster.MustNew(cluster.HA8K(), n, 0x5c15)
 	ids, _ := sys.AllocateFirst(n)
-	fw, err := core.NewFramework(sys, nil)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -462,10 +462,11 @@ func BenchmarkExtensionMultiPVT(b *testing.B) {
 func BenchmarkExtensionScheduler(b *testing.B) {
 	const n = 192
 	sys := cluster.MustNew(cluster.HA8K(), n, 0x5c15)
-	s, err := sched.NewOnSystem(sys)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	s := sched.New(fw)
 	jobs := []sched.Job{
 		{Name: "mhd", Bench: workload.MHD(), Modules: 64},
 		{Name: "bt", Bench: workload.BT(), Modules: 64},
@@ -492,10 +493,11 @@ func BenchmarkExtensionScheduler(b *testing.B) {
 func BenchmarkExtensionPlacement(b *testing.B) {
 	const n = 256
 	sys := cluster.MustNew(cluster.HA8K(), n, 0x5c15)
-	s, err := sched.NewOnSystem(sys)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	s := sched.New(fw)
 	job := []sched.Job{{Name: "mhd", Bench: workload.MHD(), Modules: n / 2}}
 	cfg := sched.Config{
 		SystemPower: units.Watts(70 * n / 2),
@@ -525,7 +527,7 @@ func BenchmarkExtensionPlacement(b *testing.B) {
 // favour fully powering fewer modules.
 func BenchmarkExtensionOverprovisioning(b *testing.B) {
 	sys := cluster.MustNew(cluster.HA8K(), 192, 0x5c15)
-	fw, err := core.NewFramework(sys, nil)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -613,13 +615,22 @@ func BenchmarkServeSolve(b *testing.B) {
 			}
 		}
 	})
+	// The seed counter lives outside b.Run so that every b.N round asks
+	// for seeds the server has never seen: each request is a full replica
+	// build + calibration at any -benchtime.
+	seed := uint64(1 << 40)
 	b.Run("cold", func(b *testing.B) {
+		hits := srv.SolveCacheStats().Hits
 		for i := 0; i < b.N; i++ {
 			r := req
-			r.Seed = 1<<40 + uint64(i) // unique seed: full replica build + calibration
+			r.Seed = seed
+			seed++
 			if _, _, err := c.Solve(ctx, r); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if got := srv.SolveCacheStats().Hits - hits; got != 0 {
+			b.Fatalf("cold: %d solve-cache hits, want 0", got)
 		}
 	})
 }
@@ -654,6 +665,12 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
+		// One untimed snapshot after the harness's GC, so a lone
+		// -benchtime 1x iteration does not count the first write after it.
+		if _, err := srv.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := srv.Snapshot(); err != nil {
 				b.Fatal(err)

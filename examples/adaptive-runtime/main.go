@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fw, err := core.NewFramework(sys, nil)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,10 +28,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scheduler, err := sched.NewOnSystem(sys)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	scheduler := sched.New(fw)
 
 	jobs := []sched.Job{
 		{Name: "plasma (MHD)", Bench: workload.MHD(), Modules: 64},

@@ -49,7 +49,7 @@ func main() {
 		bench.Name, inst.Directives[0].Kind, inst.Directives[1].Kind)
 
 	// Step 2: the install-time PVT (built from *STREAM on every module).
-	fw, err := core.NewFramework(sys, nil)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

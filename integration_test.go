@@ -27,7 +27,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fw, err := core.NewFramework(sys, nil)
+		fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestSchemeHierarchy(t *testing.T) {
 	// holds: Naive ≤ Pc ≤ VaPc ≤ VaFs (by speedup).
 	sys := cluster.MustNew(cluster.HA8K(), 128, 0x5c15)
 	ids, _ := sys.AllocateFirst(128)
-	fw, err := core.NewFramework(sys, nil)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +156,11 @@ func TestPVTFileWorkflow(t *testing.T) {
 
 func TestSchedulerOnTopOfFramework(t *testing.T) {
 	sys := cluster.MustNew(cluster.HA8K(), 96, 0x5c15)
-	s, err := sched.NewOnSystem(sys)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := sched.New(fw)
 	res, err := s.Run([]sched.Job{
 		{Name: "a", Bench: workload.MHD(), Modules: 48},
 		{Name: "b", Bench: workload.DGEMM(), Modules: 48},

@@ -142,7 +142,7 @@ func sweep[S row[S]](ctx context.Context, c deviceClass, sys *cluster.System, be
 		retries = c.sweepRetries()
 	}
 	quar := make([]bool, n)
-	raws, err := parallel.MapCtx(ctx, workers, n, func(_ context.Context, id int) (reading, error) {
+	raws, err := parallel.Map(ctx, workers, n, func(_ context.Context, id int) (reading, error) {
 		var lastErr error
 		for a := 0; a <= retries; a++ {
 			if a > 0 {
@@ -242,7 +242,7 @@ func oracle[E row[E]](c deviceClass, sys *cluster.System, bench *workload.Benchm
 		workers = 1
 	}
 	var zero E
-	rows, err := parallel.Map(workers, len(ids), func(i int) (E, error) {
+	rows, err := parallel.Map(context.TODO(), workers, len(ids), func(_ context.Context, i int) (E, error) {
 		r, err := c.probe(sys, bench, ids[i])
 		if err != nil {
 			return zero, fmt.Errorf("core: oracle PMT %s %d: %w", c.noun(), ids[i], err)

@@ -106,7 +106,7 @@ func TestClonedFrameworkMeasuresIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := NewFramework(sys, nil)
+	fw, err := NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

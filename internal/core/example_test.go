@@ -18,7 +18,7 @@ func Example() {
 		panic(err)
 	}
 	ids, _ := sys.AllocateFirst(16)
-	fw, err := core.NewFramework(sys, nil) // PVT from *STREAM
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0) // PVT from *STREAM
 	if err != nil {
 		panic(err)
 	}

@@ -28,7 +28,7 @@ type HeteroFramework struct {
 // choice).
 func NewHeteroFramework(sys *cluster.System, micro *workload.Benchmark, workers int) (*HeteroFramework, error) {
 	if !sys.Spec.Hybrid() {
-		return nil, fmt.Errorf("core: %s has no GPU device class; use NewFramework", sys.Spec.Name)
+		return nil, fmt.Errorf("core: %s has no GPU device class; use NewFrameworkWorkers", sys.Spec.Name)
 	}
 	fw, err := NewFrameworkWorkers(sys, micro, workers)
 	if err != nil {

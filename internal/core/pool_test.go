@@ -17,7 +17,7 @@ func poolTestFramework(t *testing.T, modules int) (*Framework, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := NewFramework(sys, nil)
+	fw, err := NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -117,7 +118,7 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 	}
 
 	canCap := sys.Spec.Measurement.SupportsCapping()
-	rows, err := parallel.Map(workers, len(ids), func(i int) (ModuleRefresh, error) {
+	rows, err := parallel.Map(context.TODO(), workers, len(ids), func(_ context.Context, i int) (ModuleRefresh, error) {
 		id := ids[i]
 		old, err := pvt.Entry(id)
 		if err != nil {

@@ -45,15 +45,11 @@ type Framework struct {
 	JobID  string
 }
 
-// NewFramework instantiates the framework, generating the system's PVT with
-// the given microbenchmark (nil selects the paper's choice, *STREAM).
-func NewFramework(sys *cluster.System, micro *workload.Benchmark) (*Framework, error) {
-	return NewFrameworkWorkers(sys, micro, 0)
-}
-
-// NewFrameworkWorkers is NewFramework with an explicit fan-out width for
-// PVT generation and all subsequent per-module loops (< 1 selects
-// GOMAXPROCS, 1 recovers the fully serial pipeline).
+// NewFrameworkWorkers instantiates the framework, generating the system's
+// PVT with the given microbenchmark (nil selects the paper's choice,
+// *STREAM). workers is the fan-out width for PVT generation and all
+// subsequent per-module loops (< 1 selects GOMAXPROCS, 1 recovers the fully
+// serial pipeline).
 func NewFrameworkWorkers(sys *cluster.System, micro *workload.Benchmark, workers int) (*Framework, error) {
 	pvt, err := GeneratePVT(context.Background(), sys, micro, workers)
 	if err != nil {

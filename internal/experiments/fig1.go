@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -58,7 +59,7 @@ func Figure1(o Options) ([]Fig1Series, error) {
 		},
 	}
 	names := []string{"Cab", "Vulcan", "Teller"}
-	return parallel.Map(o.Workers, len(panels), func(i int) (Fig1Series, error) {
+	return parallel.Map(context.TODO(), o.Workers, len(panels), func(_ context.Context, i int) (Fig1Series, error) {
 		s, err := panels[i]()
 		if err != nil {
 			return Fig1Series{}, fmt.Errorf("experiments: figure 1 %s: %w", names[i], err)

@@ -95,7 +95,7 @@ func EvaluationGrid(o Options) (*EvalGrid, error) {
 	// so the grid stays byte-identical while the allocation cost drops to
 	// one replica per concurrent worker.
 	pool := core.NewReplicaPool(fw)
-	g.Cells, err = parallel.MapCtx(o.progressCtx("grid"), o.Workers, len(specs), func(_ context.Context, i int) (GridCell, error) {
+	g.Cells, err = parallel.Map(o.progressCtx("grid"), o.Workers, len(specs), func(_ context.Context, i int) (GridCell, error) {
 		s := specs[i]
 		span := telemetry.StartSpan("grid.cell").Annotate("%s %v %v", s.bench.Name, s.cs, s.scheme)
 		defer span.End()

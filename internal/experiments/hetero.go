@@ -188,7 +188,7 @@ func Hetero(o Options) (*HeteroResult, error) {
 		}
 		return out, nil
 	}
-	out.Cells, err = parallel.MapCtx(o.progressCtx("hetero"), o.Workers, len(specs),
+	out.Cells, err = parallel.Map(o.progressCtx("hetero"), o.Workers, len(specs),
 		func(_ context.Context, i int) (HeteroCell, error) {
 			return runCell(specs[i], false), nil
 		})

@@ -164,7 +164,7 @@ func Resilience(o Options) (*ResilienceResult, error) {
 			workers = 1
 		}
 		pool := core.NewReplicaPool(fw)
-		res.Cells, err = parallel.MapCtx(o.progressCtx("resilience "+lv.name), workers,
+		res.Cells, err = parallel.Map(o.progressCtx("resilience "+lv.name), workers,
 			len(ResilienceSchemes), func(_ context.Context, i int) (ResilienceCell, error) {
 				scheme := ResilienceSchemes[i]
 				cell := ResilienceCell{Level: lv.name, Scheme: scheme}

@@ -78,7 +78,7 @@ func Table4(o Options) (Table4Result, error) {
 	// borrow, capping clone allocations at one replica per worker.
 	var sysPool sync.Pool
 	benches := workload.Evaluated()
-	out.Rows, err = parallel.MapCtx(o.progressCtx("table4"), o.Workers, len(benches), func(_ context.Context, i int) (Table4Row, error) {
+	out.Rows, err = parallel.Map(o.progressCtx("table4"), o.Workers, len(benches), func(_ context.Context, i int) (Table4Row, error) {
 		b := benches[i]
 		span := telemetry.StartSpan("table4.row").Annotate("%s", b.Name)
 		defer span.End()

@@ -122,8 +122,8 @@ type Interval struct {
 	Rank       int
 	Module     int
 	Phase      Phase
-	// Round is the SPMD round (or async op index) the slice belongs to;
-	// -1 for run-level slices (finalize wait, throttle overlay).
+	// Round is the SPMD round the slice belongs to; -1 for run-level
+	// slices (finalize wait, throttle overlay).
 	Round int
 }
 

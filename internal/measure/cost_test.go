@@ -31,6 +31,31 @@ func TestTestRunAllocBudget(t *testing.T) {
 	}
 }
 
+// TestTestRunAllocsPastSpanCap: once the tracer holds its cap of spans, a
+// test run's span is never rendered, so the run must not pay for its
+// detail either.
+func TestTestRunAllocsPastSpanCap(t *testing.T) {
+	sys, _ := testSystem(t, 8)
+	bench := workload.StarSTREAM()
+	f := sys.Spec.Arch.FNom
+	tr := telemetry.DefaultTracer()
+	tr.Reset()
+	defer tr.Reset()
+	for tr.Start("fill").Retained() {
+	}
+	if _, err := TestRun(sys, bench, 3, f); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := TestRun(sys, bench, 3, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 10 {
+		t.Errorf("TestRun past the span cap: %.1f allocs per run, budget 10", avg)
+	}
+}
+
 // TestRunPhaseSpans: every run records measure.run. Only a multi-rank run
 // adds the resolve/simulate/account children, back to back under it.
 func TestRunPhaseSpans(t *testing.T) {

@@ -12,6 +12,7 @@
 package measure
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -249,7 +250,11 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	mRuns[cfg.Mode].Inc()
-	span := telemetry.StartSpan("measure.run").Annotate("%s ranks=%d", cfg.Bench.Name, len(cfg.Modules))
+	span := telemetry.StartSpan("measure.run")
+	if span.Retained() {
+		// Boxing the name costs an allocation even when Annotate drops it.
+		span.Annotate("%s ranks=%d", cfg.Bench.Name, len(cfg.Modules))
+	}
 	defer span.End()
 	prof := cfg.Bench.ProfileFor(sys.Spec.Arch)
 	workers := rankWorkers(&cfg)
@@ -378,7 +383,7 @@ func resolveRanks(sys *cluster.System, cfg *Config, prof module.PowerProfile, wo
 		// The fan-out's closure outlives this frame: copy what it reads, so
 		// the caller's Config stays on its stack.
 		c, p := *cfg, prof
-		return parallel.Map(workers, n, func(rank int) (module.OperatingPoint, error) {
+		return parallel.Map(context.TODO(), workers, n, func(_ context.Context, rank int) (module.OperatingPoint, error) {
 			return resolve(sys, &c, &p, rank)
 		})
 	}
@@ -481,7 +486,7 @@ func simulate(sys *cluster.System, cfg *Config, ops []module.OperatingPoint, pro
 			fs = &simmpi.FaultSpec{DeadAt: deadAt}
 		}
 	}
-	return simmpi.RunFaulty(prog, n, model, cfg.Net, probe, fs)
+	return simmpi.Run(prog, n, model, cfg.Net, probe, fs)
 }
 
 // rankModel is a run's DES timing model: each rank computes at its
@@ -524,7 +529,7 @@ func account(sys *cluster.System, cfg *Config, prof module.PowerProfile, ops []m
 		// As in resolveRanks, the escaping closure reads copies.
 		c, p, sm := *cfg, prof, sim
 		var err error
-		ranks, err = parallel.Map(workers, n, func(rank int) (RankResult, error) {
+		ranks, err = parallel.Map(context.TODO(), workers, n, func(_ context.Context, rank int) (RankResult, error) {
 			return accountRank(sys, &c, &p, ops, &sm, rank)
 		})
 		if err != nil {

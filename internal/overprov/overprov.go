@@ -12,6 +12,7 @@
 package overprov
 
 import (
+	"context"
 	"fmt"
 
 	"varpower/internal/core"
@@ -107,7 +108,7 @@ func Analyze(fw *core.Framework, bench *workload.Benchmark, budget units.Watts,
 	// for every worker count (fw.Workers; < 1 selects GOMAXPROCS).
 	pool := core.NewReplicaPool(fw)
 	var err error
-	res.Points, err = parallel.Map(fw.Workers, len(counts), func(i int) (Point, error) {
+	res.Points, err = parallel.Map(context.TODO(), fw.Workers, len(counts), func(_ context.Context, i int) (Point, error) {
 		n := counts[i]
 		ids := make([]int, n)
 		for k := range ids {

@@ -13,7 +13,7 @@ import (
 func testFramework(t *testing.T, n int) *core.Framework {
 	t.Helper()
 	sys := cluster.MustNew(cluster.HA8K(), n, 0x5c15)
-	fw, err := core.NewFramework(sys, nil)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,8 @@
 // because every module draws from its own SplitMix64 stream (internal/xrand).
 //
 // The engine therefore guarantees determinism: for a pure task function,
-// Map and ForEach produce results — including which error is reported —
-// that are byte-identical for every worker count. Three properties make
-// this hold:
+// Map produces results — including which error is reported — that are
+// byte-identical for every worker count. Three properties make this hold:
 //
 //  1. Results are written to the slot of their own index; no output depends
 //     on completion order.
@@ -57,11 +56,11 @@ type progressKey struct{}
 // presentation-only: it cannot influence task scheduling or results.
 type ProgressFunc func(done, total int)
 
-// WithProgress attaches a progress callback to ctx; MapCtx/ForEachCtx
-// invocations under that context report per-task completion to it. Nested
-// fan-outs inherit the context, so attach progress only at the granularity
-// you want reported (e.g. grid cells, not per-rank inner loops) — or strip
-// it with WithProgress(ctx, nil).
+// WithProgress attaches a progress callback to ctx; Map invocations under
+// that context report per-task completion to it. Nested fan-outs inherit
+// the context, so attach progress only at the granularity you want reported
+// (e.g. grid cells, not per-rank inner loops) — or strip it with
+// WithProgress(ctx, nil).
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)
 }
@@ -94,8 +93,8 @@ func Workers(requested, n int) int {
 }
 
 // PanicError wraps a panic captured from a task goroutine. It is re-raised
-// by Map/ForEach on the calling goroutine with the original value and the
-// worker's stack trace attached.
+// by Map on the calling goroutine with the original value and the worker's
+// stack trace attached.
 type PanicError struct {
 	Index int
 	Value any
@@ -115,21 +114,15 @@ type indexed struct {
 	panic *PanicError
 }
 
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines
+// Map runs fn(ctx, i) for every i in [0, n) on at most workers goroutines
 // (workers < 1 selects GOMAXPROCS) and returns the results in index order.
 // On failure it returns the error of the lowest failing index — the same
 // error a serial loop would have returned — and the partial results slice
-// is discarded.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapCtx is Map with context cancellation: workers stop claiming new
-// indices once ctx is cancelled, and ctx.Err() is returned if no task error
-// precedes it. In-flight tasks run to completion (tasks are not preempted).
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// is discarded. Workers stop claiming new indices once ctx is cancelled,
+// and ctx.Err() is returned if no task error precedes it; in-flight tasks
+// run to completion (tasks are not preempted). A caller with nothing to
+// collect maps to struct{}.
+func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("parallel: negative task count %d", n)
 	}
@@ -230,21 +223,4 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// and returns the error of the lowest failing index, if any.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// ForEachCtx is ForEach with context cancellation.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapCtx(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

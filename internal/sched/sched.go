@@ -26,10 +26,10 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"varpower/internal/cluster"
 	"varpower/internal/core"
 	"varpower/internal/parallel"
 	"varpower/internal/units"
@@ -154,15 +154,6 @@ func New(fw *core.Framework) *Scheduler {
 	return &Scheduler{fw: fw}
 }
 
-// NewOnSystem builds the framework (generating the PVT) and the scheduler.
-func NewOnSystem(sys *cluster.System) (*Scheduler, error) {
-	fw, err := core.NewFramework(sys, nil)
-	if err != nil {
-		return nil, err
-	}
-	return New(fw), nil
-}
-
 // Framework exposes the underlying budgeting framework.
 func (s *Scheduler) Framework() *core.Framework { return s.fw }
 
@@ -256,7 +247,7 @@ func (s *Scheduler) Run(jobs []Job, cfg Config) (*Result, error) {
 		workers = 1
 	}
 	res := &Result{Config: cfg}
-	res.Jobs, err = parallel.Map(workers, len(jobs), func(i int) (JobResult, error) {
+	res.Jobs, err = parallel.Map(context.TODO(), workers, len(jobs), func(_ context.Context, i int) (JobResult, error) {
 		run, err := s.fw.Run(jobs[i].Bench, allocs[i], budgets[i], cfg.Scheme)
 		if err != nil {
 			return JobResult{}, fmt.Errorf("sched: job %q: %w", jobs[i].Name, err)

@@ -13,10 +13,11 @@ import (
 func testScheduler(t *testing.T, modules int) *Scheduler {
 	t.Helper()
 	sys := cluster.MustNew(cluster.HA8K(), modules, 0x5c15)
-	s, err := NewOnSystem(sys)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := New(fw)
 	return s
 }
 

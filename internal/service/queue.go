@@ -139,7 +139,7 @@ func newJobQueue(capacity, workers int) *jobQueue {
 func (q *jobQueue) start() {
 	go func() {
 		defer close(q.done)
-		_ = parallel.ForEachCtx(context.Background(), q.workers, q.workers, func(_ context.Context, _ int) error {
+		_, _ = parallel.Map(context.Background(), q.workers, q.workers, func(_ context.Context, _ int) (struct{}, error) {
 			for j := range q.ch {
 				mQueueDepth.Set(float64(len(q.ch)))
 				j.setRunning()
@@ -149,7 +149,7 @@ func (q *jobQueue) start() {
 				mJobSeconds.Observe(secs)
 				q.observeJobTime(secs)
 			}
-			return nil
+			return struct{}{}, nil
 		})
 	}()
 }

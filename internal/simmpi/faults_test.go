@@ -28,32 +28,25 @@ func ringProgram(size, iters int, cycles float64) sliceProgram {
 
 func TestRunFaultyNilSpecMatchesRun(t *testing.T) {
 	p := ringProgram(6, 8, 3)
-	want, err := Run(p, 6, unitModel(), zeroNet())
+	want, err := Run(p, 6, unitModel(), zeroNet(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunFaulty(p, 6, unitModel(), zeroNet(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("nil FaultSpec diverged from Run:\n%+v\n%+v", want, got)
-	}
-	// A spec with no deaths must also be value-identical: the timeout only
-	// matters once somebody dies.
-	got, err = RunFaulty(p, 6, unitModel(), zeroNet(), nil, &FaultSpec{})
+	// A spec with no deaths must be value-identical to the healthy run: the
+	// timeout only matters once somebody dies.
+	got, err := Run(p, 6, unitModel(), zeroNet(), nil, &FaultSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("deathless FaultSpec diverged from Run:\n%+v\n%+v", want, got)
+		t.Fatalf("deathless FaultSpec diverged from the healthy run:\n%+v\n%+v", want, got)
 	}
 }
 
 func TestRunFaultyDeadRankFinishesDegraded(t *testing.T) {
 	const size = 6
 	p := ringProgram(size, 10, 3)
-	healthy, err := Run(p, size, unitModel(), zeroNet())
+	healthy, err := Run(p, size, unitModel(), zeroNet(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +56,7 @@ func TestRunFaultyDeadRankFinishesDegraded(t *testing.T) {
 		deadAt[i] = -1
 	}
 	deadAt[2] = 10 // mid-run: each iteration is >= 3 s of compute
-	res, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: deadAt})
+	res, err := Run(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: deadAt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +100,7 @@ func TestRunFaultyDeathAtZeroAndAllDead(t *testing.T) {
 	p := ringProgram(size, 5, 2)
 	// A rank dead from t=0 participates in nothing.
 	deadAt := []units.Seconds{0, -1, -1, -1}
-	res, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: deadAt})
+	res, err := Run(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: deadAt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +114,7 @@ func TestRunFaultyDeathAtZeroAndAllDead(t *testing.T) {
 	// Everyone dead: the run still terminates (elapsed = latest death
 	// processing point, no survivors to wait on).
 	all := []units.Seconds{0, 1, 2, 3}
-	res, err = RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: all})
+	res, err = Run(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: all})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +127,7 @@ func TestRunFaultyDeathAtZeroAndAllDead(t *testing.T) {
 
 func TestRunFaultyRejectsBadSpec(t *testing.T) {
 	p := ringProgram(4, 2, 1)
-	_, err := RunFaulty(p, 4, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: []units.Seconds{1}})
+	_, err := Run(p, 4, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: []units.Seconds{1}})
 	if err == nil {
 		t.Fatal("mismatched DeadAt length accepted")
 	}
@@ -149,7 +142,7 @@ func TestRunFaultySendrecvTimeoutSemantics(t *testing.T) {
 		{Compute{Cycles: 5}, Sendrecv{Peers: []int{0, 1}}},
 	}
 	deadAt := []units.Seconds{-1, -1, 0}
-	res, err := RunFaulty(sliceProgram{ops: ops}, 3, unitModel(), zeroNet(), nil,
+	res, err := Run(sliceProgram{ops: ops}, 3, unitModel(), zeroNet(), nil,
 		&FaultSpec{DeadAt: deadAt, Timeout: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -7,24 +7,23 @@ import "varpower/internal/units"
 // timelines and per-round straggler information without the engine knowing
 // anything about recording.
 //
-// Both engines invoke a probe only from their serial event loop, in a
+// The engine invokes a probe only from its serial round loop, in a
 // deterministic order for a given program and model, so implementations
 // need not be concurrency-safe and recorded output is reproducible at any
 // caller fan-out. Probes must treat every argument as read-only; they
 // cannot influence the simulation.
 type Probe interface {
 	// Interval reports that rank spent [start, end) in the given phase
-	// during round (the SPMD round for the lockstep engine, the rank's op
-	// index for the async engine). Zero-length intervals are not reported.
+	// during SPMD round. Zero-length intervals are not reported.
 	Interval(rank, round int, phase ProbePhase, start, end units.Seconds)
 
 	// Collective reports a communication round's arrival spread: the
 	// straggler rank arrived last (lowest rank wins ties) at time latest,
-	// the fastest participant at earliest. Emitted by the lockstep engine
-	// for every Sendrecv, Barrier and Allreduce round; kind is "sendrecv",
-	// "barrier" or "allreduce". For Sendrecv rounds the straggler is the
-	// round's globally latest arrival — the rank every transitively
-	// coupled neighbourhood ultimately waits on.
+	// the fastest participant at earliest. Emitted for every Sendrecv,
+	// Barrier and Allreduce round; kind is "sendrecv", "barrier" or
+	// "allreduce". For Sendrecv rounds the straggler is the round's
+	// globally latest arrival — the rank every transitively coupled
+	// neighbourhood ultimately waits on.
 	Collective(round int, kind string, straggler int, earliest, latest units.Seconds)
 }
 
@@ -37,9 +36,7 @@ const (
 	ProbeCompute ProbePhase = iota
 	// ProbeP2PWait: blocked on a peer in a point-to-point exchange.
 	ProbeP2PWait
-	// ProbeCollectiveWait: blocked at a barrier/allreduce (or, in the
-	// async engine, in a Recv on a reserved collective tag — see
-	// CollectiveTagBase).
+	// ProbeCollectiveWait: blocked at a barrier/allreduce.
 	ProbeCollectiveWait
 	// ProbeXfer: wire time of the rank's messages.
 	ProbeXfer

@@ -173,7 +173,7 @@ const DefaultDeadTimeout = units.Seconds(1.0)
 // dead peer by timeout rather than deadlocking: a Sendrecv against a dead
 // peer completes at the waiter's arrival plus Timeout, and a collective with
 // any dead member completes at the slowest survivor's arrival plus Timeout.
-// A nil *FaultSpec is the healthy run, byte-identical to RunProbed.
+// A nil *FaultSpec is the healthy run.
 type FaultSpec struct {
 	// DeadAt gives each rank's death time on the run's virtual clock; a
 	// negative entry means the rank never dies. A rank dies when its local
@@ -222,23 +222,17 @@ func (f *faultState) dies(rank int, t units.Seconds) bool {
 }
 
 // Run executes the program on size ranks against the model and network.
-func Run(p Program, size int, m Model, net Network) (Result, error) {
-	return RunProbed(p, size, m, net, nil)
-}
-
-// RunProbed is Run with an observation probe: every per-rank phase
-// interval and every communication round's arrival spread is reported to
-// probe (nil probes nothing and costs one predictable branch per event).
-// Probe calls are made from this serial loop in deterministic order; the
-// probe cannot change the result.
-func RunProbed(p Program, size int, m Model, net Network, probe Probe) (Result, error) {
-	return RunFaulty(p, size, m, net, probe, nil)
-}
-
-// RunFaulty is RunProbed under a fault specification: listed ranks die at
-// their appointed times and the run finishes degraded instead of
-// deadlocking. With a nil spec the engine takes the exact healthy path.
-func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec) (Result, error) {
+//
+// A non-nil probe observes the run: every per-rank phase interval and every
+// communication round's arrival spread is reported to it (nil probes
+// nothing and costs one predictable branch per event). Probe calls are made
+// from this serial loop in deterministic order; the probe cannot change the
+// result.
+//
+// A non-nil fault specification makes listed ranks die at their appointed
+// times, and the run finishes degraded instead of deadlocking. With a nil
+// spec the engine takes the exact healthy path.
+func Run(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec) (Result, error) {
 	if size < 1 {
 		return Result{}, fmt.Errorf("simmpi: size %d < 1", size)
 	}

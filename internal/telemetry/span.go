@@ -144,6 +144,10 @@ func (s *Span) Annotate(format string, args ...any) *Span {
 	return s
 }
 
+// Retained reports whether the tracer holds s for rendering. A span past
+// the tracer's span cap is not, so a caller can skip building its detail.
+func (s *Span) Retained() bool { return s.retained }
+
 // End finishes the span, records its duration into the tracer's
 // phase-duration histogram, and is idempotent.
 func (s *Span) End() {
